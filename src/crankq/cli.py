@@ -189,6 +189,9 @@ def cmd_identity(args) -> int:
 
 
 def cmd_family(args) -> int:
+    if args.n_max < 0:
+        print("error: --n-max must be nonnegative", file=sys.stderr)
+        return 2
     name = _FAMILY_CLI_NAMES.get(args.name, args.name)
     try:
         series = families.family_series(name, args.k, args.n_max)

@@ -1,21 +1,22 @@
 """Brute-force ground truth: partition generation, crank, rank.
 
-Everything here is deliberately naive.  The generating-function and DP
-paths elsewhere in the package are validated against these counts, so this
-module must stay independent of the series engine.
+Everything here is deliberately naive.  The generating-function paths
+elsewhere in the package are validated against these counts and against
+the rank DP below, so this module must stay independent of the series
+engine.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, Sequence, Tuple
 
-from ._backend import kernels
+from . import _kernels_py
 from .errors import EmptyPartition, SoftLimitExceeded
 from .tables import DistributionTable
 
 Partition = Tuple[int, ...]
 
-# Above this, exhaustive enumeration gets slow; the DP path has no cap.
+# Above this, exhaustive enumeration gets slow; the table builders have no cap.
 DEFAULT_ENUM_LIMIT = 45
 
 
@@ -118,18 +119,20 @@ def rank_distribution_bruteforce(
 
 
 def rank_distribution_dp(n_max: int) -> DistributionTable:
-    """Rank counts for every n <= n_max via the joint-count DP.
+    """Rank counts for every n <= n_max via the joint-count DP: an O(n_max^3)
+    test oracle for :func:`crankq.statistics.rank_table`.
 
     Partitions are counted by (largest part a, number of parts b) with the
     prefix-sum recurrence over layers of b, and accumulated over m = a - b.
     Negative m is produced directly by the DP, so the conjugation symmetry
     of the table is a genuine check rather than a construction artifact.
 
-    Time is O(n_max^3) prefix-sum steps and memory O(n_max^2); n_max around
-    two thousand is comfortable, far beyond that the layer buffers dominate.
+    Always runs the pure-Python kernel, so counts are exact Python ints at
+    any n_max.  Time is O(n_max^3) prefix-sum steps and memory O(n_max^2):
+    keep n_max to a few hundred.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = kernels.rank_dp(n_max)
+    rows = _kernels_py.rank_dp(n_max)
     min_m = [0] + [-(n - 1) for n in range(1, n_max + 1)]
     return DistributionTable(stat="rank", n_max=n_max, min_m=min_m, rows=rows)

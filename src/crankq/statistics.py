@@ -1,30 +1,40 @@
 """Production paths for M(m,n), N(m,n), p(n) and the ospt function.
 
-Crank counts come from the classical single-variable generating function
+Both tables come from the sparse forms over 1/(q)_inf: for m >= 0,
 
-    sum_n M(m,n) q^n = (1-q) q^m / (q;q)_m
-                       + sum_{k>=1} q^{k(k+m)+2k+m} / ((q;q)_k (q^2;q)_{k+m-1})
+    sum_n N(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(3k-1)/2+mk} (1-q^k)
+    sum_n M(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(k-1)/2+mk} (1-q^k)
 
-for m >= 0, with negative m filled in by the symmetry M(m,n) = M(-m,n).
-The k-sum is truncated once the leading exponent k(k+m)+2k+m passes the
-order; the n = 1 convention row (-1, 1), (0, -1), (1, 1) falls out of the
-series without any special-casing.
+(Atkin--Swinnerton-Dyer for the rank, Garvan for the crank), with negative
+m filled in by the symmetry counts(m,n) = counts(-m,n).  Each k-term adds
+the p(n) vector shifted by lead(k)+mk and subtracts it shifted k further,
+and row m has O(n_max/(m+1)) terms, so building a table costs
+O(n_max^2 log n_max) exact big-int additions and O(n_max^2) memory for its
+cells.  The crank's n = 1 convention row
+(-1, 1), (0, -1), (1, 1) falls out of the form without any
+special-casing; the rank's n = 0 row is set to [1] by convention.
 
-Rank counts delegate to the joint-count DP in :mod:`crankq.enumeration`.
+:func:`crank_gf` evaluates a different crank generating function term by
+term and serves as the independent second route for the crank table.
 """
 
 from __future__ import annotations
 
-from typing import List
+from operator import add, sub
+from typing import Callable, List, Tuple
 
-from . import enumeration
 from .series import TruncatedSeries, inv_pochhammer, inv_pochhammer_apply
 from .tables import CumulativeTable, DistributionTable, cumulative
 
 
 def crank_gf(m: int, order: int) -> TruncatedSeries:
     """The series whose q^n coefficient is the count of partitions of n
-    with crank m (m >= 0)."""
+    with crank m (m >= 0), from the single-variable generating function
+
+        (1-q) q^m / (q;q)_m
+            + sum_{k>=1} q^{k(k+m)+2k+m} / ((q;q)_k (q^2;q)_{k+m-1}),
+
+    truncated once the leading exponent k(k+m)+2k+m passes the order."""
     if m < 0:
         raise ValueError("crank_gf takes m >= 0; use symmetry for m < 0")
     t = inv_pochhammer(1, m, order).shift(m)
@@ -42,51 +52,55 @@ def _crank_sum_term(k: int, m: int, order: int) -> TruncatedSeries:
     return t.shift(k * (k + m) + 2 * k + m)
 
 
-def crank_table(n_max: int) -> DistributionTable:
-    """M(m,n) for all 0 <= n <= n_max and |m| <= n.
+def _sparse_form_rows(
+    n_max: int, lead: Callable[[int], int], m_lag: int
+) -> Tuple[List[int], List[List[int]]]:
+    """``(min_m, rows)`` of counts(m,n) for 0 <= n <= n_max, where for m >= 0
 
-    Evaluates the same generating function as :func:`crank_gf` for every
-    m, but incrementally: each factor that changes between m-1 and m costs
-    one geometric division, so the full table is O(n_max^2) coefficient
-    updates instead of O(n_max^3).  Negative m is mirrored, never computed.
+        sum_n counts(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{lead(k)+mk} (1-q^k)
+
+    and negative m is mirrored.  Row n covers |m| <= max(n - m_lag, 0);
+    ``lead`` must be increasing with lead(1) >= 0.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    order = n_max
-    # base = q^m / (q;q)_m, stepped by base *= q / (1 - q^m)
-    base = TruncatedSeries.constant(1, order)
-    # ksum[k] = q^{k(k+m)+2k+m} / ((q;q)_k (q^2;q)_{k+m-1}), stepped by
-    # ksum[k] *= q^{k+1} / (1 - q^{k+m})
-    ksum = {}
-    nonneg_rows: List[List[int]] = []
+    pvec = partition_numbers(n_max)
+    by_m: List[List[int]] = []
     for m in range(n_max + 1):
-        if m > 0:
-            base = base.shift(1).div_one_minus_q_pow(m)
-        g = base.mul_one_minus_q_pow(1)
+        row = [0] * (n_max + 1)
         k = 1
-        while k * (k + m) + 2 * k + m <= order:
-            if k in ksum:
-                ksum[k] = ksum[k].shift(k + 1).div_one_minus_q_pow(k + m)
-            else:
-                ksum[k] = _crank_sum_term(k, m, order)
-            g = g + ksum[k]
+        e = lead(1) + m
+        while e <= n_max:
+            plus, minus = (add, sub) if k % 2 else (sub, add)
+            row[e:] = map(plus, row[e:], pvec)
+            row[e + k :] = map(minus, row[e + k :], pvec)
             k += 1
-        for stale in [kk for kk in ksum if kk >= k]:
-            del ksum[stale]
-        nonneg_rows.append(g.coeffs())
+            e = lead(k) + m * k
+        by_m.append(row)
 
     rows: List[List[int]] = []
     min_m: List[int] = []
-    for n in range(n_max + 1):
-        right = [nonneg_rows[m][n] for m in range(0, n + 1)]
+    for n, column in enumerate(zip(*by_m)):
+        right = list(column[: max(n - m_lag, 0) + 1])
         rows.append(right[:0:-1] + right)
-        min_m.append(-n)
+        min_m.append(1 - len(right))
+    return min_m, rows
+
+
+def crank_table(n_max: int) -> DistributionTable:
+    """M(m,n) for all 0 <= n <= n_max and |m| <= n, from Garvan's form
+    with lead(k) = k(k-1)/2."""
+    min_m, rows = _sparse_form_rows(n_max, lambda k: k * (k - 1) // 2, 0)
     return DistributionTable(stat="crank", n_max=n_max, min_m=min_m, rows=rows)
 
 
 def rank_table(n_max: int) -> DistributionTable:
-    """N(m,n) for all 0 <= n <= n_max, from the joint-count DP."""
-    return enumeration.rank_distribution_dp(n_max)
+    """N(m,n) for all 0 <= n <= n_max and |m| <= n - 1, from the
+    Atkin--Swinnerton-Dyer form with lead(k) = k(3k-1)/2.  Row 0 is [1],
+    the empty partition."""
+    min_m, rows = _sparse_form_rows(n_max, lambda k: k * (3 * k - 1) // 2, 1)
+    rows[0] = [1]
+    return DistributionTable(stat="rank", n_max=n_max, min_m=min_m, rows=rows)
 
 
 def partition_numbers(n_max: int) -> List[int]:

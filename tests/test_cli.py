@@ -7,6 +7,8 @@ import dataclasses
 import io
 import json
 
+import pytest
+
 from crankq import cli, identities
 from crankq.series import monomial
 
@@ -138,6 +140,15 @@ def test_family_row(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows == [["0", "1"], ["1", "0"], ["2", "0"], ["3", "0"], ["4", "0"]]
+
+
+@pytest.mark.parametrize("name", ["pk", "d"])
+def test_family_negative_n_max_exits_2(capsys, name):
+    code = cli.main(["family", "--name", name, "--k", "4", "--n-max", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --n-max must be nonnegative\n"
 
 
 def test_io_error_exit_code(capsys):

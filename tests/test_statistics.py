@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from crankq.enumeration import crank_distribution_bruteforce
+from crankq.enumeration import crank_distribution_bruteforce, rank_distribution_dp
 from crankq.statistics import (
     crank_gf,
     crank_table,
@@ -25,7 +25,7 @@ def test_crank_gf_low_coefficients():
 
 
 def test_crank_table_matches_per_m_series():
-    order = 40
+    order = 150
     table = crank_table(order)
     for m in range(order + 1):
         g = crank_gf(m, order)
@@ -62,6 +62,27 @@ def test_mass_conservation_and_symmetry(cranks500, ranks500, pvec1000):
         assert ranks500.row_sum(n) == pvec1000[n]
     assert cranks500.is_symmetric()
     assert ranks500.is_symmetric()
+
+
+def test_crank_moment_dyson(cranks500, pvec1000):
+    # Dyson: sum_m m^2 M(m,n) = 2n p(n), the n = 1 convention row included
+    for n in range(501):
+        second = sum(m * m * c for m, c in cranks500.row_dict(n).items())
+        assert second == 2 * n * pvec1000[n]
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 120])
+def test_rank_table_matches_dp(n_max):
+    table = rank_table(n_max)
+    oracle = rank_distribution_dp(n_max)
+    assert table.min_m == oracle.min_m
+    assert table.rows == oracle.rows
+
+
+def test_rank_table_mass_past_int128_overflow():
+    # a 128-bit rank DP silently loses rows from n = 1609 on
+    n = 1700
+    assert sum(rank_table(n).rows[n]) == partition_numbers(n)[n]
 
 
 def test_partition_numbers_small():
