@@ -6,7 +6,6 @@ by coefficient comparison, and an inequality-scan harness, all on top of
 an exact truncated integer power-series engine.
 """
 
-from ._backend import BACKEND
 from .enumeration import (
     crank,
     crank_distribution_bruteforce,
@@ -64,6 +63,9 @@ from .theorems import (
 )
 
 __version__ = "0.1.0"
+
+# The only kernel implementation: exact Python ints throughout.
+BACKEND = "python"
 
 __all__ = [
     "BACKEND",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Sequence, Tuple
 
-from . import _kernels_py
 from .errors import EmptyPartition, SoftLimitExceeded
 from .tables import DistributionTable
 
@@ -118,6 +117,51 @@ def rank_distribution_bruteforce(
     return counts
 
 
+def rank_dp(n_max: int) -> list:
+    """Joint-count dynamic program for the rank distribution.
+
+    Counts partitions by (largest part a, number of parts b) and
+    accumulates over m = a - b.  Layer b is derived from layer b-1 through
+    the prefix sums C(j, a) = #{partitions of j, largest part <= a, exactly
+    b-1 parts}, so each cell costs O(1).
+
+    Returns rows[n] = counts for m = -(n-1) .. n-1 (row 0 is [1] by the
+    empty-partition convention).
+    """
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        rows.append([0] * (2 * n - 1))
+    if n_max < 1:
+        return rows
+
+    size = n_max + 1
+    # layer b = 1: C(j, a) = 1 iff 1 <= j <= a; T(n, a, 1) = 1 iff a == n
+    cprev = [[0] * size for _ in range(size)]
+    for j in range(1, size):
+        cprev[j][j:] = [1] * (size - j)
+        rows[j][(j - 1) + (j - 1)] += 1  # m = n - 1 at offset n - 1
+
+    for b in range(2, n_max + 1):
+        ccur = [[0] * size for _ in range(size)]
+        for n in range(b, size):
+            crow = ccur[n]
+            nrow = rows[n]
+            off = n - 1 - b
+            run = 0
+            amax = n - b + 1  # need n - a >= b - 1 parts' worth of weight
+            for a in range(1, amax + 1):
+                j = n - a
+                t = cprev[j][a if a <= j else j]
+                if t:
+                    nrow[a + off] += t
+                    run += t
+                crow[a] = run
+            if run:
+                crow[amax + 1:] = [run] * (size - amax - 1)
+        cprev = ccur
+    return rows
+
+
 def rank_distribution_dp(n_max: int) -> DistributionTable:
     """Rank counts for every n <= n_max via the joint-count DP: an O(n_max^3)
     test oracle for :func:`crankq.statistics.rank_table`.
@@ -127,12 +171,11 @@ def rank_distribution_dp(n_max: int) -> DistributionTable:
     Negative m is produced directly by the DP, so the conjugation symmetry
     of the table is a genuine check rather than a construction artifact.
 
-    Always runs the pure-Python kernel, so counts are exact Python ints at
-    any n_max.  Time is O(n_max^3) prefix-sum steps and memory O(n_max^2):
-    keep n_max to a few hundred.
+    Counts are exact Python ints at any n_max.  Time is O(n_max^3)
+    prefix-sum steps and memory O(n_max^2): keep n_max to a few hundred.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    rows = _kernels_py.rank_dp(n_max)
+    rows = rank_dp(n_max)
     min_m = [0] + [-(n - 1) for n in range(1, n_max + 1)]
     return DistributionTable(stat="rank", n_max=n_max, min_m=min_m, rows=rows)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import List
 
-from ._backend import kernels
 from .errors import InvalidK
 from .series import TruncatedSeries, inv_pochhammer, inv_pochhammer_apply
 
@@ -130,13 +129,36 @@ def h_series(k: int, order: int) -> TruncatedSeries:
     return s.shift(2 * k)
 
 
+def weighted_conv(prev: list, k: int, shift: int, imax_offset: int) -> list:
+    """out[n] = sum_{i=0}^{n//k + imax_offset} (i+1) * prev[n - k*i - shift].
+
+    Naive evaluation of the (i+1)-weighted convolution used by the
+    pair-counting recurrences; deliberately independent of the series
+    engine so the two routes cross-check each other.
+    """
+    n_len = len(prev)
+    out = [0] * n_len
+    for n in range(n_len):
+        acc = 0
+        imax = n // k + imax_offset
+        for i in range(imax + 1):
+            j = n - k * i - shift
+            if j < 0:
+                break
+            v = prev[j]
+            if v:
+                acc += (i + 1) * v
+        out[n] = acc
+    return out
+
+
 def g_recurrence(k: int, n_max: int) -> List[int]:
     """g_k(0..n_max) via g_k(n) = sum_{i=0}^{n//k} (i+1) g_{k-1}(n - k i),
     seeded with the delta sequence; never touches the series engine."""
     check_k("g", k)
     cur = [1] + [0] * n_max
     for kk in range(1, k + 1):
-        cur = kernels.weighted_conv(cur, kk, 0, 0)
+        cur = weighted_conv(cur, kk, 0, 0)
     return cur
 
 
@@ -146,7 +168,7 @@ def h_recurrence(k: int, n_max: int) -> List[int]:
     check_k("h", k)
     cur = [0, 0] + [1] * (n_max - 1) if n_max >= 2 else [0] * (n_max + 1)
     for kk in range(2, k + 1):
-        cur = kernels.weighted_conv(cur, kk, 2, -2)
+        cur = weighted_conv(cur, kk, 2, -2)
     return cur
 
 

@@ -8,16 +8,66 @@ operations shrink to the smaller order, and reading past the order raises
 
 Values are immutable after construction and all operations are pure, so
 series can be shared freely.
+
+The coefficient-list kernels the ring operations run on (``vec_add``,
+``vec_sub``, ``vec_scale``, ``geom_divide``, ``geom_multiply``,
+``cauchy_mul``) are the module-level functions below.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Union
 
-from ._backend import kernels
 from .errors import OrderExceeded
 
 Predicate = Union[str, "TruncatedSeries"]
+
+
+# -- coefficient-list kernels ----------------------------------------------
+
+
+def vec_add(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    return [a[i] + b[i] for i in range(n)]
+
+
+def vec_sub(a: list, b: list) -> list:
+    n = min(len(a), len(b))
+    return [a[i] - b[i] for i in range(n)]
+
+
+def vec_scale(a: list, c: int) -> list:
+    return [c * x for x in a]
+
+
+def geom_divide(c: list, e: int) -> list:
+    """In place: divide by (1 - q^e), i.e. c[i] += c[i-e]."""
+    for i in range(e, len(c)):
+        c[i] += c[i - e]
+    return c
+
+
+def geom_multiply(c: list, e: int) -> list:
+    """In place: multiply by (1 - q^e), i.e. c[i] -= c[i-e], descending."""
+    for i in range(len(c) - 1, e - 1, -1):
+        c[i] -= c[i - e]
+    return c
+
+
+def cauchy_mul(a: list, b: list, n: int) -> list:
+    """Truncated Cauchy product; n is the result length (order + 1)."""
+    out = [0] * n
+    for i, ai in enumerate(a):
+        if i >= n:
+            break
+        if ai == 0:
+            continue
+        jmax = min(len(b), n - i)
+        for j in range(jmax):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
 
 
 class TruncatedSeries:
@@ -109,20 +159,20 @@ class TruncatedSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._wrap(kernels.vec_add(self._coeffs, other._coeffs))
+        return TruncatedSeries._wrap(vec_add(self._coeffs, other._coeffs))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return TruncatedSeries._wrap(kernels.vec_sub(self._coeffs, other._coeffs))
+        return TruncatedSeries._wrap(vec_sub(self._coeffs, other._coeffs))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._wrap(kernels.vec_scale(self._coeffs, -1))
+        return TruncatedSeries._wrap(vec_scale(self._coeffs, -1))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         n = min(len(self._coeffs), len(other._coeffs))
-        return TruncatedSeries._wrap(kernels.cauchy_mul(self._coeffs, other._coeffs, n))
+        return TruncatedSeries._wrap(cauchy_mul(self._coeffs, other._coeffs, n))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries._wrap(kernels.vec_scale(self._coeffs, c))
+        return TruncatedSeries._wrap(vec_scale(self._coeffs, c))
 
     def shift(self, e: int) -> "TruncatedSeries":
         """Multiply by q^e, keeping the order (top e coefficients drop off)."""
@@ -142,7 +192,7 @@ class TruncatedSeries:
         """
         if e < 1:
             raise ValueError("geometric divisor exponent must be >= 1")
-        return TruncatedSeries._wrap(kernels.geom_divide(list(self._coeffs), e))
+        return TruncatedSeries._wrap(geom_divide(list(self._coeffs), e))
 
     def mul_one_minus_q_pow(self, e: int) -> "TruncatedSeries":
         """Multiply by (1 - q^e); e = 0 gives the zero series."""
@@ -150,7 +200,7 @@ class TruncatedSeries:
             raise ValueError("exponent must be nonnegative")
         if e == 0:
             return TruncatedSeries._wrap([0] * len(self._coeffs))
-        return TruncatedSeries._wrap(kernels.geom_multiply(list(self._coeffs), e))
+        return TruncatedSeries._wrap(geom_multiply(list(self._coeffs), e))
 
     # -- scans -------------------------------------------------------------
 
