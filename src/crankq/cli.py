@@ -66,8 +66,8 @@ def cmd_table(args) -> int:
         table = statistics.rank_table(args.n_max)
     rows = []
     for n in range(table.n_max + 1):
-        for m in table.m_range(n):
-            rows.append((n, m, table.get(m, n)))
+        for m, count in zip(table.m_range(n), table.rows[n]):
+            rows.append((n, m, count))
     if args.format == "json":
         payload = {
             "stat": args.stat,

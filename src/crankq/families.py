@@ -23,16 +23,13 @@ from typing import List
 from .errors import InvalidK
 from .series import TruncatedSeries, inv_pochhammer, inv_pochhammer_apply
 
-FAMILIES = ("p", "pp", "d", "t", "f", "g", "h")
-
-_MIN_K = {"p": 2, "pp": 2, "d": 2, "t": 4, "f": 2, "g": 0, "h": 1}
-
 
 def check_k(family: str, k: int) -> None:
-    if family not in _MIN_K:
+    if family not in _FAMILIES:
         raise InvalidK(f"unknown family {family!r}")
-    if k < _MIN_K[family]:
-        raise InvalidK(f"family {family!r} needs k >= {_MIN_K[family]}, got {k}")
+    min_k = _FAMILIES[family][0]
+    if k < min_k:
+        raise InvalidK(f"family {family!r} needs k >= {min_k}, got {k}")
 
 
 def p_series(k: int, order: int) -> TruncatedSeries:
@@ -116,14 +113,9 @@ def g_series(k: int, order: int) -> TruncatedSeries:
 
 
 def h_series(k: int, order: int) -> TruncatedSeries:
-    """q^{2k}/((q;q)_k (q^2;q)_{k-1}) for k >= 2; for k = 1 the convention
-    sequence 0, 0, 1, 1, 1, ... (which the k = 1 formula also produces)."""
+    """q^{2k}/((q;q)_k (q^2;q)_{k-1}); for k = 1 this is the convention
+    sequence 0, 0, 1, 1, 1, ..."""
     check_k("h", k)
-    if k == 1:
-        coeffs = [0] * (order + 1)
-        for n in range(2, order + 1):
-            coeffs[n] = 1
-        return TruncatedSeries.from_coeffs(coeffs)
     s = inv_pochhammer(1, k, order)
     s = inv_pochhammer_apply(s, 2, k - 1)
     return s.shift(2 * k)
@@ -172,18 +164,19 @@ def h_recurrence(k: int, n_max: int) -> List[int]:
     return cur
 
 
-_SERIES_BUILDERS = {
-    "p": p_series,
-    "pp": pp_series,
-    "d": d_series,
-    "t": t_series,
-    "f": f_series,
-    "g": g_series,
-    "h": h_series,
+# family name -> (least k, generating-function route)
+_FAMILIES = {
+    "p": (2, p_series),
+    "pp": (2, pp_series),
+    "d": (2, d_series),
+    "t": (4, t_series),
+    "f": (2, f_series),
+    "g": (0, g_series),
+    "h": (1, h_series),
 }
 
 
 def family_series(family: str, k: int, order: int) -> TruncatedSeries:
     """Dispatch to one family's generating-function route by name."""
     check_k(family, k)
-    return _SERIES_BUILDERS[family](k, order)
+    return _FAMILIES[family][1](k, order)

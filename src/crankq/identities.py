@@ -86,10 +86,6 @@ def _ksum_ip(order, k_start, exp_fn, factors_fn, numer_fn=None) -> TruncatedSeri
 # --------------------------------------------------------------------------
 
 
-def _pk_product(order: int, k: int) -> TruncatedSeries:
-    return p_series(k, order)
-
-
 def _pk_by_smallest_part(order: int, k: int) -> TruncatedSeries:
     acc = TruncatedSeries.constant(1, order)
     for j in range(2, k + 1):
@@ -614,7 +610,6 @@ class IdentityEntry:
     param: Optional[str] = None  # "m" or "k"
     param_min: int = 0
     cmp_from: int = 0
-    grid_hi: int = 15
 
 
 REGISTRY: Dict[str, IdentityEntry] = {}
@@ -628,7 +623,7 @@ _register(IdentityEntry(
     id="PK-FORMS",
     description="four expansions of the bounded-part partition count agree",
     sides=(
-        lambda order, k: _pk_product(order, k),
+        lambda order, k: p_series(k, order),
         lambda order, k: _pk_by_smallest_part(order, k),
         lambda order, k: _pk_by_repeated_top(order, k),
         lambda order, k: _pk_by_top_part(order, k),
@@ -791,6 +786,9 @@ def check_identity(identity_id: str, order: int, **params: int) -> IdentityResul
     )
 
 
+_GRID_HI = 15  # top of every default parameter grid
+
+
 def identity_grid(identity_id: str, hi: Optional[int] = None) -> List[Dict[str, int]]:
     """Default parameter grid for one identity: the single empty dict for
     parameterless entries, else param = lower bound .. hi (default 15)."""
@@ -799,7 +797,7 @@ def identity_grid(identity_id: str, hi: Optional[int] = None) -> List[Dict[str, 
     entry = REGISTRY[identity_id]
     if entry.param is None:
         return [{}]
-    top = entry.grid_hi if hi is None else hi
+    top = _GRID_HI if hi is None else hi
     return [{entry.param: v} for v in range(entry.param_min, top + 1)]
 
 

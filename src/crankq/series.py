@@ -236,10 +236,6 @@ def _check_order(order: int) -> None:
 # -- module-level helpers used throughout the generating-function code -----
 
 
-def constant(c: int, order: int) -> TruncatedSeries:
-    return TruncatedSeries.constant(c, order)
-
-
 def monomial(c: int, e: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.monomial(c, e, order)
 

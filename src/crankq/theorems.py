@@ -1,10 +1,12 @@
 """Exhaustive inequality scans with machine-readable reports.
 
-Each registered theorem id maps to a scan over its quantifier range.  The
-default n-range starts at the threshold from which the statement is
-claimed to hold; callers may widen it (e.g. to locate the empirical
-threshold) or narrow it.  Every comparison is exact integer arithmetic;
-rational bounds are cross-multiplied, never floated.
+Each theorem is a ``_run_*`` scan over its quantifier range, registered
+by the ``@_theorem`` decorator above it; the scan's keyword defaults are
+the theorem's grid (``k_max``, ``m_max``).  The default n-range starts at
+the threshold from which the statement is claimed to hold; callers may
+widen it (e.g. to locate the empirical threshold) or narrow it.  Every
+comparison is exact integer arithmetic; rational bounds are
+cross-multiplied, never floated.
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -12,8 +14,9 @@ acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import inspect
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from . import families, statistics
 from .errors import RangeError, UnknownTheorem
@@ -95,69 +98,56 @@ class _Recorder:
 class VerifyContext:
     """Caches the tables and series shared by the theorem scans.
 
-    Each cache keeps the largest object computed so far; requests covered
-    by it are served from the cache, larger requests replace it.
+    Each entry keeps the largest object built so far, under the n it was
+    built for; requests covered by it are served from the cache, larger
+    requests replace it.
     """
 
     def __init__(self):
-        self._cranks: Optional[DistributionTable] = None
-        self._ranks: Optional[DistributionTable] = None
-        self._crank_cum: Optional[CumulativeTable] = None
-        self._rank_cum: Optional[CumulativeTable] = None
-        self._pvec: List[int] = []
-        self._ospt: List[int] = []
-        self._crank_m0: List[int] = []
-        self._fam: Dict[tuple, List[int]] = {}
+        self._memo: Dict[Hashable, Tuple[int, Any]] = {}
+
+    def _cached(self, key: Hashable, n_max: int, build: Callable[[int], Any]) -> Any:
+        entry = self._memo.get(key)
+        if entry is None or entry[0] < n_max:
+            entry = self._memo[key] = (n_max, build(n_max))
+        return entry[1]
 
     def cranks(self, n_max: int) -> DistributionTable:
-        if self._cranks is None or self._cranks.n_max < n_max:
-            self._cranks = statistics.crank_table(n_max)
-            self._crank_cum = None
-        return self._cranks
+        return self._cached("cranks", n_max, statistics.crank_table)
 
     def ranks(self, n_max: int) -> DistributionTable:
-        if self._ranks is None or self._ranks.n_max < n_max:
-            self._ranks = statistics.rank_table(n_max)
-            self._rank_cum = None
-        return self._ranks
+        return self._cached("ranks", n_max, statistics.rank_table)
 
+    # the cumulative entries are keyed on their table's n_max, so a table
+    # rebuilt for a larger n is summed again on the next request
     def crank_cum(self, n_max: int) -> CumulativeTable:
         t = self.cranks(n_max)
-        if self._crank_cum is None or self._crank_cum.n_max < n_max:
-            self._crank_cum = cumulative(t)
-        return self._crank_cum
+        return self._cached("crank_cum", t.n_max, lambda _: cumulative(t))
 
     def rank_cum(self, n_max: int) -> CumulativeTable:
         t = self.ranks(n_max)
-        if self._rank_cum is None or self._rank_cum.n_max < n_max:
-            self._rank_cum = cumulative(t)
-        return self._rank_cum
+        return self._cached("rank_cum", t.n_max, lambda _: cumulative(t))
 
     def pvec(self, n_max: int) -> List[int]:
-        if len(self._pvec) <= n_max:
-            self._pvec = statistics.partition_numbers(n_max)
-        return self._pvec
+        return self._cached("pvec", n_max, statistics.partition_numbers)
 
     def ospt(self, n_max: int) -> List[int]:
-        if len(self._ospt) <= n_max:
-            self._ospt = statistics.ospt(
-                n_max, cranks=self.cranks(n_max), ranks=self.ranks(n_max)
-            )
-        return self._ospt
+        return self._cached(
+            "ospt", n_max,
+            lambda n: statistics.ospt(n, cranks=self.cranks(n), ranks=self.ranks(n)),
+        )
 
     def crank_m0(self, n_max: int) -> List[int]:
         """M(0, 0..n_max) without building the full table."""
-        if len(self._crank_m0) <= n_max:
-            self._crank_m0 = statistics.crank_gf(0, n_max).coeffs()
-        return self._crank_m0
+        return self._cached(
+            "crank_m0", n_max, lambda n: statistics.crank_gf(0, n).coeffs()
+        )
 
     def fam(self, family: str, k: int, order: int) -> List[int]:
-        key = (family, k)
-        cur = self._fam.get(key)
-        if cur is None or len(cur) <= order:
-            cur = families.family_series(family, k, order).coeffs()
-            self._fam[key] = cur
-        return cur
+        return self._cached(
+            ("fam", family, k), order,
+            lambda n: families.family_series(family, k, n).coeffs(),
+        )
 
 
 @dataclass(frozen=True)
@@ -165,16 +155,27 @@ class TheoremSpec:
     id: str
     description: str
     stated_n_from: int
-    n_base: int  # smallest n the scan may start from (threshold searches)
+    n_base: int  # smallest n the scan may start from; verify clamps to it
     run: Callable[..., None]
-    defaults: Dict[str, int] = field(default_factory=dict)
+    defaults: Dict[str, int]  # the grid: the scan's keyword defaults
 
 
 REGISTRY: Dict[str, TheoremSpec] = {}
 
 
-def _register(spec: TheoremSpec) -> None:
-    REGISTRY[spec.id] = spec
+def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
+    """Register the decorated scan; its keyword defaults become the grid."""
+
+    def register(run: Callable[..., None]) -> Callable[..., None]:
+        grid = {
+            name: param.default
+            for name, param in inspect.signature(run).parameters.items()
+            if param.default is not param.empty
+        }
+        REGISTRY[id] = TheoremSpec(id, description, stated_n_from, n_base, run, grid)
+        return run
+
+    return register
 
 
 # --------------------------------------------------------------------------
@@ -182,33 +183,24 @@ def _register(spec: TheoremSpec) -> None:
 # --------------------------------------------------------------------------
 
 
+@_theorem("THM1.1", "rank counts weakly increase in n (with the top-m exception)",
+          stated_n_from=12, n_base=1)
 def _run_thm_1_1(ctx, rec, n_from, n_to):
     # m = n - 2 is deliberately absent: N(n-2, n) = 0 < 1 = N(n-2, n-1)
     t = ctx.ranks(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(0, max(n - 2, 0)):
             rec.check({"n": n, "m": m}, t.get(m, n), ">=", t.get(m, n - 1))
         rec.check({"n": n, "m": n - 1}, t.get(n - 1, n), ">=", t.get(n - 1, n - 1))
 
 
+@_theorem("THM1.2", "rank counts weakly decrease in even steps of m",
+          stated_n_from=0, n_base=0)
 def _run_thm_1_2(ctx, rec, n_from, n_to):
     t = ctx.ranks(n_to)
-    for n in range(max(n_from, 0), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(0, n):
             rec.check({"n": n, "m": m}, t.get(m, n), ">=", t.get(m + 2, n))
-
-
-_register(TheoremSpec(
-    id="THM1.1",
-    description="rank counts weakly increase in n (with the top-m exception)",
-    stated_n_from=12, n_base=1, run=_run_thm_1_1,
-))
-
-_register(TheoremSpec(
-    id="THM1.2",
-    description="rank counts weakly decrease in even steps of m",
-    stated_n_from=0, n_base=0, run=_run_thm_1_2,
-))
 
 
 # --------------------------------------------------------------------------
@@ -216,50 +208,37 @@ _register(TheoremSpec(
 # --------------------------------------------------------------------------
 
 
+@_theorem("THM1.3a", "strict lower bound on 4*ospt(n)", stated_n_from=8, n_base=1)
 def _run_thm_1_3a(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
     ranks = ctx.ranks(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         lhs = 4 * o[n]
         rhs = p[n] + 2 * ranks.get(0, n) - m0[n]
         rec.check({"n": n}, lhs, ">", rhs)
 
 
+@_theorem("THM1.3b", "strict upper bound on 4*ospt(n)", stated_n_from=7, n_base=1)
 def _run_thm_1_3b(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
     ranks = ctx.ranks(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         lhs = 4 * o[n]
         rhs = p[n] + 2 * ranks.get(0, n) - m0[n] + 2 * ranks.get(1, n)
         rec.check({"n": n}, lhs, "<", rhs)
 
 
+@_theorem("THM1.3c", "ospt(n) below half the partition count",
+          stated_n_from=3, n_base=1)
 def _run_thm_1_3c(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         rec.check({"n": n}, 2 * o[n], "<", p[n])
-
-
-_register(TheoremSpec(
-    id="THM1.3a",
-    description="strict lower bound on 4*ospt(n)",
-    stated_n_from=8, n_base=1, run=_run_thm_1_3a,
-))
-_register(TheoremSpec(
-    id="THM1.3b",
-    description="strict upper bound on 4*ospt(n)",
-    stated_n_from=7, n_base=1, run=_run_thm_1_3b,
-))
-_register(TheoremSpec(
-    id="THM1.3c",
-    description="ospt(n) below half the partition count",
-    stated_n_from=3, n_base=1, run=_run_thm_1_3c,
-))
 
 
 # --------------------------------------------------------------------------
@@ -267,25 +246,31 @@ _register(TheoremSpec(
 # --------------------------------------------------------------------------
 
 
+@_theorem("THM1.6", "crank counts weakly increase in n for 0 <= m <= n-2",
+          stated_n_from=14, n_base=1)
 def _run_thm_1_6(ctx, rec, n_from, n_to):
     t = ctx.cranks(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(0, n - 1):
             rec.check({"n": n, "m": m}, t.get(m, n), ">=", t.get(m, n - 1))
 
 
+@_theorem("THM1.7", "crank counts weakly decrease in m for 1 <= m <= n-1",
+          stated_n_from=44, n_base=1)
 def _run_thm_1_7(ctx, rec, n_from, n_to):
     t = ctx.cranks(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(1, n):
             rec.check({"n": n, "m": m}, t.get(m - 1, n), ">=", t.get(m, n))
 
 
+@_theorem("COR1.8", "crank row is unimodal over the window |m| <= n-1",
+          stated_n_from=44, n_base=1)
 def _run_cor_1_8(ctx, rec, n_from, n_to):
     # two formulations that must agree: the literal window scan and the
     # mirror reduction to nonnegative m
     t = ctx.cranks(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(-(n - 2), 1):
             rec.check(
                 {"n": n, "m": m, "form": "window"},
@@ -303,35 +288,13 @@ def _run_cor_1_8(ctx, rec, n_from, n_to):
             )
 
 
-_register(TheoremSpec(
-    id="THM1.6",
-    description="crank counts weakly increase in n for 0 <= m <= n-2",
-    stated_n_from=14, n_base=1, run=_run_thm_1_6,
-))
-_register(TheoremSpec(
-    id="THM1.7",
-    description="crank counts weakly decrease in m for 1 <= m <= n-1",
-    stated_n_from=44, n_base=1, run=_run_thm_1_7,
-))
-_register(TheoremSpec(
-    id="COR1.8",
-    description="crank row is unimodal over the window |m| <= n-1",
-    stated_n_from=44, n_base=1, run=_run_cor_1_8,
-))
-
-
+@_theorem("THM1.9", "partition count dominates 21 times the zero-crank count",
+          stated_n_from=39, n_base=0)
 def _run_thm_1_9(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(max(n_from, 0), n_to + 1):
+    for n in range(n_from, n_to + 1):
         rec.check({"n": n}, p[n], ">=", 21 * m0[n])
-
-
-_register(TheoremSpec(
-    id="THM1.9",
-    description="partition count dominates 21 times the zero-crank count",
-    stated_n_from=39, n_base=0, run=_run_thm_1_9,
-))
 
 
 # --------------------------------------------------------------------------
@@ -339,35 +302,27 @@ _register(TheoremSpec(
 # --------------------------------------------------------------------------
 
 
+@_theorem("THM1.10", "bounded-part partition counts weakly increase for k >= 5",
+          stated_n_from=14, n_base=1)
 def _run_thm_1_10(ctx, rec, n_from, n_to, k_max=25):
     for k in range(5, k_max + 1):
         c = ctx.fam("p", k, n_to)
-        for n in range(max(n_from, 1), n_to + 1):
+        for n in range(n_from, n_to + 1):
             rec.check({"n": n, "k": k}, c[n], ">=", c[n - 1])
 
 
+@_theorem("THM1.11", "pair counts weakly increase for k >= 3 (off (k,n)=(3,7))",
+          stated_n_from=2, n_base=1)
 def _run_thm_1_11(ctx, rec, n_from, n_to, k_max=25):
     # (k, n) = (3, 7) is excluded: pp_3(7) = 8 < 9 = pp_3(6) is the one
     # genuine exception (the k = 3 first difference is -1 exactly there),
     # so the blanket k >= 3, n >= 2 statement holds everywhere else
     for k in range(3, k_max + 1):
         c = ctx.fam("pp", k, n_to)
-        for n in range(max(n_from, 1), n_to + 1):
+        for n in range(n_from, n_to + 1):
             if k == 3 and n == 7:
                 continue
             rec.check({"n": n, "k": k}, c[n], ">=", c[n - 1])
-
-
-_register(TheoremSpec(
-    id="THM1.10",
-    description="bounded-part partition counts weakly increase for k >= 5",
-    stated_n_from=14, n_base=1, run=_run_thm_1_10, defaults={"k_max": 25},
-))
-_register(TheoremSpec(
-    id="THM1.11",
-    description="pair counts weakly increase for k >= 3 (off (k,n)=(3,7))",
-    stated_n_from=2, n_base=1, run=_run_thm_1_11, defaults={"k_max": 25},
-))
 
 
 # --------------------------------------------------------------------------
@@ -375,12 +330,13 @@ _register(TheoremSpec(
 # --------------------------------------------------------------------------
 
 
+@_theorem("THM2.4", "all clauses for the first-difference family d",
+          stated_n_from=0, n_base=0)
 def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
-    lo = max(n_from, 0)
     d2 = ctx.fam("d", 2, n_to)
     d3 = ctx.fam("d", 3, n_to)
     d4 = ctx.fam("d", 4, n_to)
-    for n in range(lo, n_to + 1):
+    for n in range(n_from, n_to + 1):
         rec.check({"n": n, "clause": "d2"}, d2[n], "==", 1 if n % 2 == 0 else -1)
         r6 = n % 6
         want3 = 1 if r6 in (0, 2) else (-1 if r6 == 1 else 0)
@@ -392,16 +348,16 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
         else:
             rec.check({"n": n, "clause": "d4-odd"}, d4[n], "==", -((n + 11) // 12))
     d5 = ctx.fam("d", 5, n_to)
-    for n in range(max(lo, 2), n_to + 1):
+    for n in range(max(n_from, 2), n_to + 1):
         rec.check({"n": n, "clause": "d5"}, d5[n], ">=", 0)
         if n >= 14:
             rec.check({"n": n, "clause": "d5-pos"}, d5[n], ">=", 1)
     d6 = ctx.fam("d", 6, n_to)
-    for n in range(max(lo, 14), n_to + 1):
+    for n in range(max(n_from, 14), n_to + 1):
         rec.check({"n": n, "clause": "d6"}, d6[n], ">=", 0)
     for k in range(7, k_max + 1):
         dk = ctx.fam("d", k, n_to)
-        for n in range(max(lo, 2), n_to + 1):
+        for n in range(max(n_from, 2), n_to + 1):
             rec.check({"n": n, "k": k, "clause": "dk"}, dk[n], ">=", 0)
         if k + 2 <= n_to:
             rec.check({"n": k + 2, "k": k, "clause": "dk-pos"}, dk[k + 2], ">=", 1)
@@ -411,55 +367,39 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
             )
 
 
-_register(TheoremSpec(
-    id="THM2.4",
-    description="all clauses for the first-difference family d",
-    stated_n_from=0, n_base=0, run=_run_thm_2_4, defaults={"k_max": 25},
-))
-
-
+@_theorem("LEM2.3", "the majorant family t is nonnegative (positive off k = 5)",
+          stated_n_from=0, n_base=0)
 def _run_lem_2_3(ctx, rec, n_from, n_to, k_max=20):
     for k in range(4, k_max + 1):
         t = ctx.fam("t", k, n_to)
-        for n in range(max(n_from, 0), n_to + 1):
+        for n in range(n_from, n_to + 1):
             rec.check({"n": n, "k": k}, t[n], ">=", 0)
             if n >= 14 and k != 5:
                 rec.check({"n": n, "k": k, "clause": "pos"}, t[n], ">=", 1)
 
 
-_register(TheoremSpec(
-    id="LEM2.3",
-    description="the majorant family t is nonnegative (positive off k = 5)",
-    stated_n_from=0, n_base=0, run=_run_lem_2_3, defaults={"k_max": 20},
-))
-
-
+@_theorem("COR2.2", "bounded-part counts are positive, eventually >= floor(n/6)",
+          stated_n_from=2, n_base=2)
 def _run_cor_2_2(ctx, rec, n_from, n_to, k_max=15):
     for k in range(3, k_max + 1):
         c = ctx.fam("p", k, n_to)
-        for n in range(max(n_from, 2), n_to + 1):
+        for n in range(n_from, n_to + 1):
             rec.check({"n": n, "k": k}, c[n], ">=", 1)
             if n >= 12:
                 rec.check({"n": n, "k": k, "clause": "floor"}, c[n], ">=", n // 6)
 
 
-_register(TheoremSpec(
-    id="COR2.2",
-    description="bounded-part counts are positive, eventually >= floor(n/6)",
-    stated_n_from=2, n_base=2, run=_run_cor_2_2, defaults={"k_max": 15},
-))
-
-
+@_theorem("THM3.1", "all clauses for the first-difference family f",
+          stated_n_from=0, n_base=0)
 def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
-    lo = max(n_from, 0)
     for k in range(2, k_max + 1):
         c = ctx.fam("f", k, n_to)
-        if lo <= 0 <= n_to:
+        if n_from <= 0 <= n_to:
             rec.check({"n": 0, "k": k, "clause": "init"}, c[0], "==", 1)
-        if lo <= 1 <= n_to:
+        if n_from <= 1 <= n_to:
             rec.check({"n": 1, "k": k, "clause": "init"}, c[1], "==", -1)
     f2 = ctx.fam("f", 2, n_to)
-    for n in range(lo, n_to + 1):
+    for n in range(n_from, n_to + 1):
         if n % 2 == 0:
             rec.check({"n": n, "k": 2, "clause": "even"}, f2[n], ">=", 0)
         else:
@@ -467,7 +407,7 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
                 {"n": n, "k": 2, "clause": "odd"}, f2[n], "==", -((n + 5) // 6)
             )
     f3 = ctx.fam("f", 3, n_to)
-    for n in range(max(lo, 2), n_to + 1):
+    for n in range(max(n_from, 2), n_to + 1):
         if n != 7:
             rec.check({"n": n, "k": 3}, f3[n], ">=", 0)
         if n % 2 == 1 and n >= 17:
@@ -476,7 +416,7 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
             )
     for k in range(4, k_max + 1):
         c = ctx.fam("f", k, n_to)
-        for n in range(max(lo, 2), n_to + 1):
+        for n in range(max(n_from, 2), n_to + 1):
             rec.check({"n": n, "k": k}, c[n], ">=", 0)
         if 2 * k + 7 <= n_to:
             rec.check(
@@ -484,30 +424,18 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
             )
 
 
-_register(TheoremSpec(
-    id="THM3.1",
-    description="all clauses for the first-difference family f",
-    stated_n_from=0, n_base=0, run=_run_thm_3_1, defaults={"k_max": 20},
-))
-
-
+@_theorem("EQ4.4", "crank increment dominated from below by d and p terms",
+          stated_n_from=1, n_base=1)
 def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
     t = ctx.cranks(n_to)
     for m in range(2, m_max + 1):
         d = ctx.fam("d", m, n_to)
         p = ctx.fam("p", m + 1, n_to)
-        for n in range(max(n_from, 1), n_to + 1):
+        for n in range(n_from, n_to + 1):
             lhs = t.get(m, n) - t.get(m, n - 1)
             dm = d[n - m] if n - m >= 0 else 0
             pm = p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0
             rec.check({"n": n, "m": m}, lhs, ">=", dm + pm)
-
-
-_register(TheoremSpec(
-    id="EQ4.4",
-    description="crank increment dominated from below by d and p terms",
-    stated_n_from=1, n_base=1, run=_run_eq_4_4, defaults={"m_max": 15},
-))
 
 
 # --------------------------------------------------------------------------
@@ -517,6 +445,8 @@ _register(TheoremSpec(
 _G_VS_H_THRESHOLD = {1: 20, 2: 51, 3: 67}
 
 
+@_theorem("THM9.1", "pair counts dominate 21 times the restricted pair counts",
+          stated_n_from=0, n_base=0)
 def _run_thm_9_1(ctx, rec, n_from, n_to, k_max=8):
     for k in range(1, k_max + 1):
         g = ctx.fam("g", k, n_to)
@@ -526,6 +456,8 @@ def _run_thm_9_1(ctx, rec, n_from, n_to, k_max=8):
             rec.check({"n": n, "k": k}, g[n], ">=", 21 * h[n])
 
 
+@_theorem("LEM9.3", "monotonicity of g and h plus the k^2/n^2 cross bound",
+          stated_n_from=0, n_base=0)
 def _run_lem_9_3(ctx, rec, n_from, n_to, k_max=8):
     for k in range(1, k_max + 1):
         g = ctx.fam("g", k, n_to)
@@ -535,23 +467,11 @@ def _run_lem_9_3(ctx, rec, n_from, n_to, k_max=8):
             rec.check({"n": n, "k": k, "clause": "h-mono"}, h[n], ">=", h[n - 1])
         if k >= 2:
             hprev = ctx.fam("h", k - 1, n_to)
-            for n in range(max(n_from, 0), n_to + 1):
+            for n in range(n_from, n_to + 1):
                 rec.check(
                     {"n": n, "k": k, "clause": "cross"},
                     k * k * h[n], "<=", n * n * hprev[n],
                 )
-
-
-_register(TheoremSpec(
-    id="THM9.1",
-    description="pair counts dominate 21 times the restricted pair counts",
-    stated_n_from=0, n_base=0, run=_run_thm_9_1, defaults={"k_max": 8},
-))
-_register(TheoremSpec(
-    id="LEM9.3",
-    description="monotonicity of g and h plus the k^2/n^2 cross bound",
-    stated_n_from=0, n_base=0, run=_run_lem_9_3, defaults={"k_max": 8},
-))
 
 
 _GBOUND_CLAUSES = (
@@ -564,6 +484,8 @@ _GBOUND_CLAUSES = (
 )
 
 
+@_theorem("GBOUNDS", "integer-exact polynomial bounds on g2, g3, g4, h2, h3",
+          stated_n_from=0, n_base=0)
 def _run_gbounds(ctx, rec, n_from, n_to):
     for fam_name, k, scale, power, op, lo_stated in _GBOUND_CLAUSES:
         c = ctx.fam(fam_name, k, n_to)
@@ -574,82 +496,55 @@ def _run_gbounds(ctx, rec, n_from, n_to):
             )
 
 
-_register(TheoremSpec(
-    id="GBOUNDS",
-    description="integer-exact polynomial bounds on g2, g3, g4, h2, h3",
-    stated_n_from=0, n_base=0, run=_run_gbounds,
-))
-
-
 # --------------------------------------------------------------------------
 # cumulative rank/crank comparisons and the ospt chain
 # --------------------------------------------------------------------------
 
 
+@_theorem("EQ9.5", "cumulative crank mass below cumulative rank mass (m <= 0)",
+          stated_n_from=1, n_base=1)
 def _run_eq_9_5(ctx, rec, n_from, n_to):
     mc = ctx.crank_cum(n_to)
     nc = ctx.rank_cum(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(-n, 1):
             rec.check({"n": n, "m": m}, mc.le(m, n), "<=", nc.le(m + 1, n))
 
 
+@_theorem("EQ9.6", "cumulative rank mass below cumulative crank mass (m >= 0)",
+          stated_n_from=1, n_base=1)
 def _run_eq_9_6(ctx, rec, n_from, n_to):
     mc = ctx.crank_cum(n_to)
     nc = ctx.rank_cum(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         for m in range(0, n + 1):
             rec.check({"n": n, "m": m}, nc.le(m - 1, n), "<=", mc.le(m, n))
 
 
+@_theorem("EQ9.12", "two central rank counts within four times the zero-crank count",
+          stated_n_from=44, n_base=1)
 def _run_eq_9_12(ctx, rec, n_from, n_to):
     ranks = ctx.ranks(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         lhs = ranks.get(0, n) + ranks.get(1, n)
         rec.check({"n": n}, lhs, "<=", 4 * m0[n])
 
 
+@_theorem("CONJ1.4", "ospt(n) below a third of the partition count",
+          stated_n_from=10, n_base=1)
 def _run_conj_1_4(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
-    for n in range(max(n_from, 1), n_to + 1):
+    for n in range(n_from, n_to + 1):
         rec.check({"n": n}, 3 * o[n], "<", p[n])
-
-
-_register(TheoremSpec(
-    id="EQ9.5",
-    description="cumulative crank mass below cumulative rank mass (m <= 0)",
-    stated_n_from=1, n_base=1, run=_run_eq_9_5,
-))
-_register(TheoremSpec(
-    id="EQ9.6",
-    description="cumulative rank mass below cumulative crank mass (m >= 0)",
-    stated_n_from=1, n_base=1, run=_run_eq_9_6,
-))
-_register(TheoremSpec(
-    id="EQ9.12",
-    description="two central rank counts within four times the zero-crank count",
-    stated_n_from=44, n_base=1, run=_run_eq_9_12,
-))
-_register(TheoremSpec(
-    id="CONJ1.4",
-    description="ospt(n) below a third of the partition count",
-    stated_n_from=10, n_base=1, run=_run_conj_1_4,
-))
 
 
 # --------------------------------------------------------------------------
 # public entry points
 # --------------------------------------------------------------------------
 
-SUITE_ORDER = (
-    "THM1.1", "THM1.2", "THM1.3a", "THM1.3b", "THM1.3c",
-    "THM1.6", "THM1.7", "COR1.8", "THM1.9", "THM1.10", "THM1.11",
-    "THM2.4", "LEM2.3", "COR2.2", "THM3.1", "EQ4.4",
-    "THM9.1", "LEM9.3", "GBOUNDS",
-    "EQ9.5", "EQ9.6", "EQ9.12", "CONJ1.4",
-)
+SUITE_ORDER = tuple(REGISTRY)
 
 
 def verify(

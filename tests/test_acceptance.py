@@ -44,7 +44,7 @@ def test_criterion_02_rank_oracle_equivalence(ranks500):
         got = {m: ranks500.get(m, n) for m in ranks500.m_range(n)}
         got = {m: c for m, c in got.items() if c != 0}
         ok &= got == {m: c for m, c in want.items() if c != 0}
-    _report("criterion 2: rank DP == brute force for n <= 25", ok)
+    _report("criterion 2: rank table == brute force for n <= 25", ok)
 
 
 def test_criterion_03_mass_conservation(cranks500, ranks500, pvec1000):

@@ -151,6 +151,28 @@ def test_family_negative_n_max_exits_2(capsys, name):
     assert captured.err == "error: --n-max must be nonnegative\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--stat", "crank", "--n-max", "-1"],
+        ["ospt", "--n-max", "0"],
+        ["identity", "--id", "T5.3", "--order", "-1"],
+        ["threshold", "--theorem", "THM1.9", "--n-max", "1"],
+        ["threshold", "--theorem", "NOPE"],
+        ["verify", "--suite", "paper", "--from", "5"],
+        ["verify", "--suite", "paper", "--n-max", "10"],
+    ],
+    ids=" ".join,
+)
+def test_bad_input_exits_2_with_message(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_io_error_exit_code(capsys):
     code = cli.main(
         ["table", "--stat", "crank", "--n-max", "3", "--out", "/no/such/dir/x.csv"]

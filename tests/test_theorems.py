@@ -7,7 +7,9 @@ import pytest
 from crankq import theorems
 from crankq.errors import RangeError, UnknownTheorem
 from crankq.theorems import (
+    REGISTRY,
     SUITE_ORDER,
+    VerifyContext,
     find_threshold,
     stated_threshold,
     verify,
@@ -120,3 +122,47 @@ def test_crossover_of_polynomial_bounds():
     assert 576 * 105839**7 < 21 * 2903040 * 105839**6
     assert 576 * 105840**7 >= 21 * 2903040 * 105840**6
     assert 21 * 2903040 // 576 == 105840
+
+
+def test_grid_override_reaches_the_scan(ctx):
+    default = verify("THM1.10", 60, ctx=ctx)
+    narrow = verify("THM1.10", 60, overrides={"k_max": 7}, ctx=ctx)
+    assert default.params == {"k_max": 25}
+    assert narrow.params == {"k_max": 7}
+    # k = 5..7 instead of 5..25, each over n = 14..60
+    assert narrow.checked == 3 * 47
+    assert default.checked == 21 * 47
+
+
+def test_registry_order_and_bases():
+    assert SUITE_ORDER == tuple(REGISTRY)
+    assert len(SUITE_ORDER) == 23
+    for spec in REGISTRY.values():
+        assert spec.n_base <= spec.stated_n_from, spec.id
+
+
+def test_context_serves_smaller_requests_from_cache():
+    ctx = VerifyContext()
+    assert ctx.cranks(20) is ctx.cranks(12)
+    assert ctx.ranks(20) is ctx.ranks(12)
+    assert ctx.crank_cum(20) is ctx.crank_cum(12)
+    assert ctx.rank_cum(20) is ctx.rank_cum(12)
+    assert ctx.pvec(20) is ctx.pvec(12)
+    assert ctx.ospt(20) is ctx.ospt(12)
+    assert ctx.crank_m0(20) is ctx.crank_m0(12)
+    assert ctx.fam("d", 5, 20) is ctx.fam("d", 5, 12)
+    assert ctx.fam("d", 5, 20) is not ctx.fam("d", 6, 20)
+    assert ctx.cranks(30).n_max == 30  # a larger request rebuilds
+
+
+def test_cumulative_follows_a_rebuilt_table():
+    ctx = VerifyContext()
+    assert ctx.crank_cum(50).n_max == 50
+    ctx.cranks(80)
+    assert ctx.crank_cum(70).n_max == 80
+    ctx = VerifyContext()
+    small = ctx.rank_cum(50)
+    ctx.ranks(80)
+    # the covered request still sums the rebuilt table again
+    assert ctx.rank_cum(40).n_max == 80
+    assert ctx.rank_cum(40) is not small
