@@ -10,9 +10,10 @@ the same flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from . import families, identities, statistics, theorems
 from .errors import (
@@ -38,22 +39,24 @@ DEFAULT_VERIFY_N_MAX = 200
 DEFAULT_ORDER = 200
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
+    """Write the text chunks in order, to out_path or else to stdout."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
+    """CSV lines, each ending in a newline; rows are formatted as they come."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
-def _json_text(obj: object) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json(obj: object) -> List[str]:
+    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
 
 
 def cmd_table(args) -> int:
@@ -64,17 +67,18 @@ def cmd_table(args) -> int:
         table = statistics.crank_table(args.n_max)
     else:
         table = statistics.rank_table(args.n_max)
-    rows = []
-    for n in range(table.n_max + 1):
-        for m, count in zip(table.m_range(n), table.rows[n]):
-            rows.append((n, m, count))
+    rows = (
+        (n, m, count)
+        for n in range(table.n_max + 1)
+        for m, count in zip(table.m_range(n), table.rows[n])
+    )
     if args.format == "json":
         payload = {
             "stat": args.stat,
             "n_max": args.n_max,
             "rows": [{"n": n, "m": m, "count": c} for n, m, c in rows],
         }
-        _emit(_json_text(payload), args.out)
+        _emit(_json(payload), args.out)
     else:
         _emit(_csv(("n", "m", "count"), rows), args.out)
     return 0
@@ -83,7 +87,7 @@ def cmd_table(args) -> int:
 def _verify_output(reports, fmt: str, out_path: Optional[str]) -> int:
     if fmt == "json":
         payload = [r.as_dict() for r in reports]
-        _emit(_json_text(payload if len(payload) != 1 else payload[0]), out_path)
+        _emit(_json(payload if len(payload) != 1 else payload[0]), out_path)
     else:
         rows = [
             (
@@ -96,11 +100,13 @@ def _verify_output(reports, fmt: str, out_path: Optional[str]) -> int:
             )
             for r in reports
         ]
-        text = _csv(("id", "n_from", "n_to", "checked", "violations", "status"), rows)
-        for r in reports:
-            for v in r.violations[:20]:
-                text += f"# violation {r.theorem_id} {v.point}: {v.lhs} vs {v.rhs}\n"
-        _emit(text, out_path)
+        header = ("id", "n_from", "n_to", "checked", "violations", "status")
+        notes = (
+            f"# violation {r.theorem_id} {v.point}: {v.lhs} vs {v.rhs}\n"
+            for r in reports
+            for v in r.violations[:20]
+        )
+        _emit(itertools.chain(_csv(header, rows), notes), out_path)
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -174,7 +180,7 @@ def cmd_identity(args) -> int:
             }
             for r in results
         ]
-        _emit(_json_text(payload if len(payload) != 1 else payload[0]), args.out)
+        _emit(_json(payload if len(payload) != 1 else payload[0]), args.out)
     else:
         rows = []
         for r in results:
@@ -205,9 +211,9 @@ def cmd_family(args) -> int:
             "k": args.k,
             "values": [{"n": n, "value": c} for n, c in enumerate(coeffs)],
         }
-        _emit(_json_text(payload), args.out)
+        _emit(_json(payload), args.out)
     else:
-        _emit(_csv(("n", "value"), list(enumerate(coeffs))), args.out)
+        _emit(_csv(("n", "value"), enumerate(coeffs)), args.out)
     return 0
 
 
@@ -220,7 +226,7 @@ def cmd_ospt(args) -> int:
     rows = [(n, values[n], pvec[n]) for n in range(1, args.n_max + 1)]
     if args.format == "json":
         payload = [{"n": n, "ospt": o, "p": p} for n, o, p in rows]
-        _emit(_json_text(payload), args.out)
+        _emit(_json(payload), args.out)
     else:
         _emit(_csv(("n", "ospt", "p"), rows), args.out)
     return 0
@@ -243,7 +249,7 @@ def cmd_threshold(args) -> int:
             "empirical_threshold": found,
             "stated_threshold": stated,
         }
-        _emit(_json_text(payload), args.out)
+        _emit(_json(payload), args.out)
     else:
         rows = [(args.theorem, "" if found is None else found, stated)]
         _emit(_csv(("id", "empirical_threshold", "stated_threshold"), rows), args.out)

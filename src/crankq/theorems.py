@@ -576,6 +576,10 @@ def verify(
         ctx = VerifyContext()
     rec = _Recorder()
     spec.run(ctx, rec, n_from, n_to, **params)
+    if rec.checked == 0:
+        raise RangeError(
+            f"{theorem_id} checks no point for n in [{n_from}, {n_to}] with {params}"
+        )
     return VerificationReport(
         theorem_id=theorem_id,
         n_from=n_from,

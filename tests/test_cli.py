@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -233,6 +234,24 @@ def test_byte_stable_output(capsys):
     _, j2 = run(capsys, "verify", "--theorem", "THM1.2", "--n-max", "50",
                 "--format", "json")
     assert j1 == j2
+
+
+# sha256 of the CSV as written before the table output was streamed
+TABLE_CSV_SHA256 = {
+    "crank": "e379d0e2ca1e0d988cbae2f060eea04a2a71a9258208a22090313f3d5c472788",
+    "rank": "7067942ee5800b00e5b6505b30d257c6fbae90fc79dbd5858715db7a1885f0fb",
+}
+
+
+@pytest.mark.parametrize("stat", sorted(TABLE_CSV_SHA256))
+def test_table_csv_golden_digest(stat, tmp_path, capsys):
+    argv = ["table", "--stat", stat, "--n-max", "60"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[stat]
+    path = tmp_path / "t.csv"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -137,3 +137,29 @@ def test_ospt_decomp_skips_the_two_convention_exponents():
     rhs = entry.sides[1](30)
     assert lhs.coeff(0) != rhs.coeff(0)
     assert check_identity("OSPT-DECOMP", 30).passed
+
+
+@pytest.mark.parametrize(
+    "builder, identity_id, params, exponent",
+    [
+        ("_t1_series", "T6.1", {}, 40),
+        ("_t2_series", "EQ7.1", {}, 33),
+        ("_tm_series", "T5.5", {"m": 4}, 27),
+    ],
+)
+def test_closed_form_checks_its_proof_series(
+    builder, identity_id, params, exponent, monkeypatch
+):
+    # the closed form calls the proof-series builder, so one wrong
+    # coefficient in the proof series fails the identity at that exponent
+    orig = getattr(identities, builder)
+
+    def perturbed(order, *args):
+        return orig(order, *args) + monomial(1, exponent, order)
+
+    monkeypatch.setattr(identities, builder, perturbed)
+    result = check_identity(identity_id, 60, **params)
+    assert result.first_mismatch is not None
+    got_e, lhs, rhs = result.first_mismatch
+    assert got_e == exponent
+    assert rhs == lhs + 1

@@ -111,6 +111,14 @@ def test_suite_runner_covers_registry(ctx):
         verify_suite(40)  # below the largest stated threshold (44)
 
 
+def test_scan_that_checks_no_point_raises(ctx):
+    # an empty grid would otherwise report "pass" with checked == 0
+    with pytest.raises(RangeError):
+        verify("THM1.10", 50, overrides={"k_max": 3}, ctx=ctx)  # k runs from 5
+    with pytest.raises(RangeError):
+        verify("EQ4.4", 50, overrides={"m_max": -1}, ctx=ctx)  # m runs from 2
+
+
 def test_single_point_range(ctx):
     report = verify("THM1.7", 44, ctx=ctx)
     assert report.passed
