@@ -59,6 +59,18 @@ def _json(obj: object) -> List[str]:
     return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
 
 
+def _json_table(stat: str, n_max: int, rows: Iterable[Sequence[int]]) -> Iterator[str]:
+    """The bytes of json.dumps({"stat", "n_max", "rows": [{"n", "m", "count"}]},
+    indent=2, sort_keys=True) plus a newline, written one row at a time."""
+    yield f'{{\n  "n_max": {n_max},\n  "rows": ['
+    sep = "\n"
+    for n, m, c in rows:
+        yield (f'{sep}    {{\n      "count": {c},\n      "m": {m},\n'
+               f'      "n": {n}\n    }}')
+        sep = ",\n"
+    yield ("]" if sep == "\n" else "\n  ]") + f',\n  "stat": {json.dumps(stat)}\n}}\n'
+
+
 def cmd_table(args) -> int:
     if args.n_max < 0:
         print("error: --n-max must be nonnegative", file=sys.stderr)
@@ -73,12 +85,7 @@ def cmd_table(args) -> int:
         for m, count in zip(table.m_range(n), table.rows[n])
     )
     if args.format == "json":
-        payload = {
-            "stat": args.stat,
-            "n_max": args.n_max,
-            "rows": [{"n": n, "m": m, "count": c} for n, m, c in rows],
-        }
-        _emit(_json(payload), args.out)
+        _emit(_json_table(args.stat, args.n_max, rows), args.out)
     else:
         _emit(_csv(("n", "m", "count"), rows), args.out)
     return 0

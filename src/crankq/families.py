@@ -92,13 +92,16 @@ def f_series(k: int, order: int) -> TruncatedSeries:
 
 
 def t_series(k: int, order: int) -> TruncatedSeries:
-    """sum_{j=2}^{k} q^{2j} (1 - q^{k-j+2}) / (q^2;q)_{j-1}."""
+    """sum_{j=2}^{k} q^{2j} (1 - q^{k-j+2}) / (q^2;q)_{j-1}.
+
+    One running 1/(q^2;q)_{j-1} is divided by (1 - q^j) per j; each term
+    multiplies a copy of it by its numerator."""
     check_k("t", k)
     acc = TruncatedSeries.zero(order)
-    for j in range(2, k + 1):
-        term = inv_pochhammer(2, j - 1, order)
-        term = term.mul_one_minus_q_pow(k - j + 2).shift(2 * j)
-        acc = acc + term
+    p = TruncatedSeries.constant(1, order)
+    for j in range(2, min(k, order // 2) + 1):
+        p = p.div_one_minus_q_pow(j)
+        acc = acc + p.mul_one_minus_q_pow(k - j + 2).shift(2 * j)
     return acc
 
 

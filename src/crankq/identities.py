@@ -13,8 +13,18 @@ Closed forms share term groups through helpers, but no right-hand side is
 built from another identity's right-hand side.
 
 Infinite k-sums are truncated once the leading exponent of the k-th
-summand (strictly increasing in k) passes the order; the same applies to
-the inner index of the double sums.
+summand (strictly increasing in k) passes the order; the double sums'
+inner geometric sums are taken in closed form.
+
+Every k-sum of inverse-Pochhammer products is stepped (:func:`_ksum_ip`):
+summand k's product is built from summand k - 1's by multiplying out the
+(1 - q^e) factors that left and dividing in those that joined, which is
+one or two geometric divisions per k for the growing (q^a;q)_{k+c} and
+moving (1 - q^k) factors of the paper's sums, instead of the O(k + m) of
+a product built from 1.  The running list is cut to the coefficients the
+summand's shift leaves below the order, so a sum to order N whose
+exponent grows quadratically in k costs O(N^1.5) coefficient updates.
+:func:`_ksum` remains for summands that are not products.
 
 Identity ids and proof-series ids are stable public strings, used by the
 CLI and the acceptance suite.
@@ -22,13 +32,21 @@ CLI and the acceptance suite.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidParams, UnknownIdentity
 from .families import f_series, g_series, h_series, p_series
-from .series import TruncatedSeries, first_mismatch, inv_pochhammer_apply
+from .series import (
+    TruncatedSeries,
+    first_mismatch,
+    geom_divide,
+    geom_multiply,
+    inv_pochhammer_apply,
+    vec_add,
+)
 from .statistics import crank_gf, partition_numbers
 
 Builder = Callable[..., TruncatedSeries]
@@ -77,27 +95,60 @@ def _ksum(order: int, k_start: int, exp_fn, term_fn) -> TruncatedSeries:
     return acc
 
 
-def _ksum_ip(order, k_start, exp_fn, factors_fn, numer=None) -> TruncatedSeries:
-    """k-sum of q^exp * (optional 1 - q^numer) * inverse-Pochhammer product."""
+def _exponents(factors, below: int) -> Counter:
+    """The multiset of exponents e < below of the (1 - q^e) in the product
+    of (q^a;q)_count over the (a, count) factors."""
+    out: Counter = Counter()
+    for a, cnt in factors:
+        if a < 1 or cnt < 0:
+            raise ValueError(f"bad inverse-Pochhammer factor ({a}, {cnt})")
+        out.update(range(a, min(a + cnt, below)))
+    return out
 
-    def term(k: int) -> TruncatedSeries:
-        t = _ip(order, *factors_fn(k))
-        return t if numer is None else t.mul_one_minus_q_pow(numer)
 
-    return _ksum(order, k_start, exp_fn, term)
+def _ksum_ip(
+    order, k_start, exp_fn, factors_fn, numer=None, k_end=None
+) -> TruncatedSeries:
+    """sum_{k >= k_start} q^exp_fn(k) / prod (q^a;q)_count over the (a, count)
+    pairs of factors_fn(k), times (1 - q^numer) if numer is given; k stops
+    at k_end (if given) or once exp_fn(k), strictly increasing, passes the
+    order.
+
+    One coefficient list runs across k: it is cut to order - exp_fn(k) + 1
+    coefficients, multiplied by (1 - q^e) for each exponent that left the
+    factor multiset since k - 1 and divided by (1 - q^e) for each that
+    joined, then added into the sum at offset exp_fn(k).
+    """
+    acc = [0] * (order + 1)
+    run = [1] + [0] * order
+    held: Counter = Counter()
+    k = k_start
+    while (k_end is None or k <= k_end) and (e := exp_fn(k)) <= order:
+        n = order - e + 1
+        del run[n:]
+        now = _exponents(factors_fn(k), n)
+        for x in (held - now).elements():
+            if x < n:
+                geom_multiply(run, x)
+        for x in (now - held).elements():
+            geom_divide(run, x)
+        held = now
+        acc[e:] = vec_add(acc[e:], run)
+        k += 1
+    s = TruncatedSeries.from_coeffs(acc)
+    return s if numer is None else s.mul_one_minus_q_pow(numer)
 
 
 def _double_sum(order: int, k_exp, step, lag: int, core) -> TruncatedSeries:
-    """sum_{k>=3} core(k) sum_{i>=0} q^{k_exp(k) + step(k) i} (1 - q^{i+lag})."""
-
-    def inner(k: int) -> TruncatedSeries:
-        c, s = core(k), step(k)
-        acc = TruncatedSeries.zero(order)
-        for i in range((order - k_exp(k)) // s + 1):
-            acc = acc + c.shift(s * i) - c.shift(s * i + i + lag)
-        return acc
-
-    return _ksum(order, 3, k_exp, inner)
+    """sum_{k>=3} q^{k_exp(k)} sum_{i>=0} q^{step(k) i} (1 - q^{i+lag})
+    / prod core(k), with the inner sum in closed form
+    1/(1 - q^{step}) - q^{lag}/(1 - q^{step+1}); core(k) gives the
+    inverse-Pochhammer factors."""
+    near = _ksum_ip(order, 3, k_exp, lambda k: core(k) + ((step(k), 1),))
+    far = _ksum_ip(
+        order, 3, lambda k: k_exp(k) + lag, lambda k: core(k) + ((step(k) + 1, 1),)
+    )
+    return near - far
 
 
 # --------------------------------------------------------------------------
@@ -109,26 +160,28 @@ def _pk(order: int, k: int) -> TruncatedSeries:
     return p_series(k, order)
 
 
+def _p_factor(j: int):
+    """The factors of 1/(q^2;q)_{j-1}."""
+    return ((2, j - 1),)
+
+
 def _pk_by_smallest_part(order: int, k: int) -> TruncatedSeries:
-    acc = TruncatedSeries.constant(1, order)
-    for j in range(2, k + 1):
-        acc = acc + _ip(order, (j, k - j + 1)).shift(j)
-    return acc
+    """1 + sum_{j=2}^{k} q^j / (q^j;q)_{k-j+1}."""
+    return TruncatedSeries.constant(1, order) + _ksum_ip(
+        order, 2, lambda j: j, lambda j: ((j, k - j + 1),), k_end=k
+    )
 
 
 def _pk_by_repeated_top(order: int, k: int) -> TruncatedSeries:
+    """1 - q + q/(q^2;q)_{k-2} + sum_{j=1}^{k} q^{2j} / (q^2;q)_{j-1}."""
     acc = _poly(order, (0, 1), (1, -1)) + _ip(order, (2, k - 2)).shift(1)
-    for j in range(1, k + 1):
-        acc = acc + _ip(order, (2, j - 1)).shift(2 * j)
-    return acc
+    return acc + _ksum_ip(order, 1, lambda j: 2 * j, _p_factor, k_end=k)
 
 
 def _pk_by_top_part(order: int, k: int) -> TruncatedSeries:
+    """q^k + 1/(q^2;q)_{k-2} + sum_{j=2}^{k} q^{k+j} / (q^2;q)_{j-1}."""
     acc = _poly(order, (k, 1)) + _ip(order, (2, k - 2))
-    acc = acc + _ip(order, (2, k - 1)).shift(2 * k)
-    for j in range(2, k):
-        acc = acc + _ip(order, (2, j - 1)).shift(k + j)
-    return acc
+    return acc + _ksum_ip(order, 2, lambda j: k + j, _p_factor, k_end=k)
 
 
 def _dk(order: int, k: int) -> TruncatedSeries:
@@ -136,11 +189,12 @@ def _dk(order: int, k: int) -> TruncatedSeries:
 
 
 def _dk_expand_rhs(order: int, k: int) -> TruncatedSeries:
+    """1 - q + q^2 - q^{k+1}
+    + sum_{j=2}^{k} q^{2j} (1 - q^{k-j+1}) / (q^2;q)_{j-1},
+    with the sum split at its numerator."""
     acc = _poly(order, (0, 1), (1, -1), (2, 1), (k + 1, -1))
-    for j in range(2, k):
-        acc = acc + _ip(order, (2, j - 1)).mul_one_minus_q_pow(k - j + 1).shift(2 * j)
-    acc = acc + _ip(order, (2, k - 1)).mul_one_minus_q_pow(1).shift(2 * k)
-    return acc
+    acc = acc + _ksum_ip(order, 2, lambda j: 2 * j, _p_factor, k_end=k)
+    return acc - _ksum_ip(order, 2, lambda j: j + k + 1, _p_factor, k_end=k)
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +352,12 @@ def _adjacent_diff_tail_rhs(order: int, m: int) -> TruncatedSeries:
     """Closed form for the adjacent crank difference, m >= 3 variant: the
     proof series TM plus its remaining positive terms."""
     acc = _tm_series(order, m) + _ip(order, (2, m - 3), (m, 1)).shift(2 * m + 5)
-    for k in range(3, m + 1):
-        acc = acc + _ip(order, (k, m - k + 1)).shift(2 * k + 2 * m + 1)
+    acc = acc + _ksum_ip(
+        order, 3,
+        lambda j: 2 * j + 2 * m + 1,
+        lambda j: ((j, m - j + 1),),
+        k_end=m,
+    )
     return acc + _ksum_ip(
         order, 1,
         lambda k: k * (k + m) + 5 * k + 3 * m + 1,
@@ -380,10 +438,11 @@ def _rw3_rhs(order: int) -> TruncatedSeries:
         lambda k: k * k + 6 * k + 7,
         lambda k: ((2, k - 1), (2, k - 3), (k, 1)),
     )
-    acc = acc + _ksum(  # the (1 + q^2) numerator
-        order, 3,
-        lambda k: k * k + 7 * k + 6,
-        lambda k: _shifts(_ip(order, (2, k - 1), (3, k - 2)), 0, 2),
+    acc = acc + _shifts(  # the (1 + q^2) numerator
+        _ksum_ip(
+            order, 3, lambda k: k * k + 7 * k + 6, lambda k: ((2, k - 1), (3, k - 2))
+        ),
+        0, 2,
     )
     acc = acc + _ksum_ip(
         order, 3, lambda k: k * k + 7 * k + 10, lambda k: ((2, k - 1), (2, k - 1))
@@ -413,14 +472,14 @@ def _t1_series(order: int) -> TruncatedSeries:
         lambda k: k * k + 6 * k + 5,
         lambda k: k - 1,
         2,
-        lambda k: _ip(order, (2, k - 1), (2, k - 3)),
+        lambda k: ((2, k - 1), (2, k - 3)),
     )
     acc = acc + _double_sum(
         order,
         lambda k: k * k + 9 * k + 8,
         lambda k: k,
         8,
-        lambda k: _ip(order, (2, k - 2), (3, k - 2), (k + 1, 1)),
+        lambda k: ((2, k - 2), (3, k - 2), (k + 1, 1)),
     )
     return acc
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Callable, List, Tuple
 
-from .series import TruncatedSeries, inv_pochhammer, inv_pochhammer_apply
+from .series import TruncatedSeries, geom_divide, inv_pochhammer, vec_add
 from .tables import CumulativeTable, DistributionTable, cumulative
 
 
@@ -34,22 +34,27 @@ def crank_gf(m: int, order: int) -> TruncatedSeries:
         (1-q) q^m / (q;q)_m
             + sum_{k>=1} q^{k(k+m)+2k+m} / ((q;q)_k (q^2;q)_{k+m-1}),
 
-    truncated once the leading exponent k(k+m)+2k+m passes the order."""
+    truncated once the leading exponent k(k+m)+2k+m passes the order.
+
+    The k-th product is stepped from the (k-1)-th, which starts as
+    1/(q^2;q)_{m-1} (1 at m = 0): it is cut to the order - exp(k) + 1
+    coefficients the shift leaves, then divided by (1 - q^k) and, when
+    k + m - 1 >= 1, by (1 - q^{k+m}).  This loop is the crank side's own
+    and shares no code with the closed forms in :mod:`crankq.identities`."""
     if m < 0:
         raise ValueError("crank_gf takes m >= 0; use symmetry for m < 0")
     t = inv_pochhammer(1, m, order).shift(m)
-    g = t.mul_one_minus_q_pow(1)
+    acc = t.mul_one_minus_q_pow(1).coeffs()
+    run = inv_pochhammer(2, max(m - 1, 0), order).coeffs()
     k = 1
-    while k * (k + m) + 2 * k + m <= order:
-        g = g + _crank_sum_term(k, m, order)
+    while (e := k * (k + m) + 2 * k + m) <= order:
+        del run[order - e + 1 :]
+        geom_divide(run, k)
+        if k + m - 1 >= 1:
+            geom_divide(run, k + m)
+        acc[e:] = vec_add(acc[e:], run)
         k += 1
-    return g
-
-
-def _crank_sum_term(k: int, m: int, order: int) -> TruncatedSeries:
-    t = inv_pochhammer(1, k, order)
-    t = inv_pochhammer_apply(t, 2, k + m - 1)
-    return t.shift(k * (k + m) + 2 * k + m)
+    return TruncatedSeries.from_coeffs(acc)
 
 
 def _sparse_form_rows(

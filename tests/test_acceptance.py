@@ -124,19 +124,31 @@ def test_criterion_10_identity_suite():
             not bad)
 
 
-def test_criterion_11_proof_series_scans():
-    ok = proof_series("T1", 500).scan_sign(106, ">=0") == []
-    t2 = proof_series("T2", 500)
+def _proof_chain_holds(order: int) -> bool:
+    ok = proof_series("T1", order).scan_sign(106, ">=0") == []
+    t1_minus_h = proof_series("T1", order) - proof_series("H", order)
+    ok &= t1_minus_h.scan_sign(11, ">=0") == []
+    t2 = proof_series("T2", order)
     ok &= t2.scan_sign(44, ">=0") == []
-    ok &= (proof_series("R", 500) + proof_series("S", 500)).coeffs() == t2.coeffs()
+    ok &= (proof_series("R", order) + proof_series("S", order)).coeffs() == t2.coeffs()
     for m in range(3, 16):
-        tm = proof_series("TM", 500, m=m)
-        um = proof_series("UM", 500, m=m)
+        tm = proof_series("TM", order, m=m)
+        um = proof_series("UM", order, m=m)
         ok &= (tm - um).scan_sign(44, ">=0") == []
         ok &= um.scan_sign(44, ">=0") == []
-        sandwich = crank_gf(m - 1, 500) - crank_gf(m, 500) - tm
+        sandwich = crank_gf(m - 1, order) - crank_gf(m, order) - tm
         ok &= sandwich.scan_sign(0, ">=0") == []
-    _report("criterion 11: T1/T2 = R + S/TM/UM scans and the sandwich to 500", ok)
+    return ok
+
+
+def test_criterion_11_proof_series_scans():
+    _report("criterion 11: T1/T2 = R + S/TM/UM scans and the sandwich to 500",
+            _proof_chain_holds(500))
+
+
+def test_criterion_11_proof_series_scans_to_1000():
+    _report("criterion 11: T1/T2 = R + S/TM/UM scans and the sandwich to 1000",
+            _proof_chain_holds(1000))
 
 
 def test_criterion_12_pair_count_dominance(ctx):

@@ -254,6 +254,46 @@ def test_table_csv_golden_digest(stat, tmp_path, capsys):
     assert path.read_bytes() == out.encode()
 
 
+# sha256 of the JSON as written before the table output was streamed
+TABLE_JSON_SHA256 = {
+    "crank": "ea8bfd2feea27b3a498bd7c24a32d8c9af33e94f01ba44002282afb26d0f3dd1",
+    "rank": "2cbc2b4adcfb7b89c594f97606a638a9abe92220180c324609aff29559e01b09",
+}
+
+
+@pytest.mark.parametrize("stat", sorted(TABLE_JSON_SHA256))
+def test_table_json_golden_digest(stat, tmp_path, capsys):
+    argv = ["table", "--stat", stat, "--n-max", "60", "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_JSON_SHA256[stat]
+    path = tmp_path / "t.json"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert path.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize("stat", ["crank", "rank"])
+@pytest.mark.parametrize("n_max", [0, 1, 7])
+def test_table_json_matches_json_dumps(stat, n_max, capsys):
+    from crankq.statistics import crank_table, rank_table
+
+    table = (crank_table if stat == "crank" else rank_table)(n_max)
+    rows = [
+        {"n": n, "m": m, "count": c}
+        for n in range(n_max + 1)
+        for m, c in zip(table.m_range(n), table.rows[n])
+    ]
+    payload = {"stat": stat, "n_max": n_max, "rows": rows}
+    code, out = run(capsys, "table", "--stat", stat, "--n-max", str(n_max),
+                    "--format", "json")
+    assert code == 0
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    empty = {"stat": stat, "n_max": n_max, "rows": []}
+    assert "".join(cli._json_table(stat, n_max, [])) == (
+        json.dumps(empty, indent=2, sort_keys=True) + "\n"
+    )
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "t.csv"
     code = cli.main(["table", "--stat", "rank", "--n-max", "5", "--out", str(path)])

@@ -9,13 +9,15 @@ import pytest
 from crankq import identities
 from crankq.errors import InvalidParams, UnknownIdentity
 from crankq.identities import (
+    _ip,
+    _ksum_ip,
     check_identity,
     identity_grid,
     list_identities,
     list_proof_series,
     proof_series,
 )
-from crankq.series import monomial
+from crankq.series import TruncatedSeries, monomial
 
 ORDER = 120
 
@@ -163,3 +165,59 @@ def test_closed_form_checks_its_proof_series(
     got_e, lhs, rhs = result.first_mismatch
     assert got_e == exponent
     assert rhs == lhs + 1
+
+
+def _ksum_ip_per_term(order, k_start, exp_fn, factors_fn, numer=None, k_end=None):
+    # every summand's product built from 1, the unstepped reference
+    acc = TruncatedSeries.zero(order)
+    k = k_start
+    while (k_end is None or k <= k_end) and exp_fn(k) <= order:
+        term = _ip(order, *factors_fn(k))
+        if numer is not None:
+            term = term.mul_one_minus_q_pow(numer)
+        acc = acc + term.shift(exp_fn(k))
+        k += 1
+    return acc
+
+
+KSUM_CASES = {
+    "growing": dict(
+        k_start=3, exp_fn=lambda k: k * k + 3 * k,
+        factors_fn=lambda k: ((2, k - 1), (2, k - 3)),
+    ),
+    "moving": dict(
+        k_start=3, exp_fn=lambda k: k * k + 7 * k + 8,
+        factors_fn=lambda k: ((2, k - 2), (3, k - 2), (k + 1, 1)),
+    ),
+    "moving, one copy leaves": dict(
+        k_start=3, exp_fn=lambda k: k * k + 6 * k + 7,
+        factors_fn=lambda k: ((2, k - 1), (2, k - 3), (k, 1)),
+    ),
+    "shrinking": dict(
+        k_start=2, exp_fn=lambda k: 3 * k,
+        factors_fn=lambda k: ((k, 12 - k), (2, 1)), k_end=12,
+    ),
+    "numer": dict(
+        k_start=1, exp_fn=lambda k: k * k + 7 * k + 7,
+        factors_fn=lambda k: ((2, k), (2, k + 1)), numer=3,
+    ),
+    "first past order": dict(
+        k_start=1, exp_fn=lambda k: 61 + k, factors_fn=lambda k: ((1, k),)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KSUM_CASES))
+@pytest.mark.parametrize("order", [0, 1, 60])
+def test_stepped_ksum_matches_per_term_products(case, order):
+    got = _ksum_ip(order, **KSUM_CASES[case])
+    want = _ksum_ip_per_term(order, **KSUM_CASES[case])
+    assert got.coeffs() == want.coeffs()
+    assert got.order == order
+
+
+def test_stepped_ksum_rejects_a_bad_factor():
+    with pytest.raises(ValueError):
+        _ksum_ip(60, 1, lambda k: k, lambda k: ((2, 3 - k),))
+    with pytest.raises(ValueError):
+        _ksum_ip(60, 1, lambda k: k, lambda k: ((0, 1),))
