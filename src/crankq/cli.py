@@ -59,15 +59,22 @@ def _json(obj: object) -> List[str]:
     return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
 
 
-def _json_table(stat: str, n_max: int, rows: Iterable[Sequence[int]]) -> Iterator[str]:
+def _json_table(
+    stat: str, n_max: int, rows: Iterable[Iterable[Sequence[int]]]
+) -> Iterator[str]:
     """The bytes of json.dumps({"stat", "n_max", "rows": [{"n", "m", "count"}]},
-    indent=2, sort_keys=True) plus a newline, written one row at a time."""
+    indent=2, sort_keys=True) plus a newline, written one string per table
+    row; each item of ``rows`` holds that row's (n, m, count) cells."""
     yield f'{{\n  "n_max": {n_max},\n  "rows": ['
     sep = "\n"
-    for n, m, c in rows:
-        yield (f'{sep}    {{\n      "count": {c},\n      "m": {m},\n'
-               f'      "n": {n}\n    }}')
-        sep = ",\n"
+    for cells in rows:
+        text = ",\n".join(
+            f'    {{\n      "count": {c},\n      "m": {m},\n      "n": {n}\n    }}'
+            for n, m, c in cells
+        )
+        if text:
+            yield sep + text
+            sep = ",\n"
     yield ("]" if sep == "\n" else "\n  ]") + f',\n  "stat": {json.dumps(stat)}\n}}\n'
 
 
@@ -80,14 +87,14 @@ def cmd_table(args) -> int:
     else:
         table = statistics.rank_table(args.n_max)
     rows = (
-        (n, m, count)
+        zip(itertools.repeat(n), table.m_range(n), table.rows[n])
         for n in range(table.n_max + 1)
-        for m, count in zip(table.m_range(n), table.rows[n])
     )
     if args.format == "json":
         _emit(_json_table(args.stat, args.n_max, rows), args.out)
     else:
-        _emit(_csv(("n", "m", "count"), rows), args.out)
+        lines = ("".join(f"{n},{m},{c}\n" for n, m, c in cells) for cells in rows)
+        _emit(itertools.chain(_csv(("n", "m", "count"), ()), lines), args.out)
     return 0
 
 

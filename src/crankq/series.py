@@ -246,10 +246,11 @@ def pochhammer(a: int, k: int, order: int) -> TruncatedSeries:
     k = 0 gives the empty product 1.
     """
     _check_poch_args(a, k)
-    s = TruncatedSeries.constant(1, order)
+    _check_order(order)
+    c = [1] + [0] * order
     for j in range(k):
-        s = s.mul_one_minus_q_pow(a + j)
-    return s
+        geom_multiply(c, a + j)
+    return TruncatedSeries._wrap(c)
 
 
 def inv_pochhammer(a: int, k: int, order: int) -> TruncatedSeries:
@@ -264,11 +265,13 @@ def inv_pochhammer(a: int, k: int, order: int) -> TruncatedSeries:
 
 
 def inv_pochhammer_apply(s: TruncatedSeries, a: int, k: int) -> TruncatedSeries:
-    """Multiply an existing series by 1/(q^a; q)_k (k geometric divisions)."""
+    """Multiply an existing series by 1/(q^a; q)_k (k geometric divisions
+    on one copy of its coefficients)."""
     _check_poch_args(a, k)
+    c = list(s._coeffs)
     for j in range(k):
-        s = s.div_one_minus_q_pow(a + j)
-    return s
+        geom_divide(c, a + j)
+    return TruncatedSeries._wrap(c)
 
 
 def _check_poch_args(a: int, k: int) -> None:

@@ -112,10 +112,10 @@ def partition_numbers(n_max: int) -> List[int]:
     """p(0..n_max) by dividing 1 by every (1 - q^j), j = 1..n_max."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    s = TruncatedSeries.constant(1, n_max)
+    c = [1] + [0] * n_max
     for j in range(1, n_max + 1):
-        s = s.div_one_minus_q_pow(j)
-    return s.coeffs()
+        geom_divide(c, j)
+    return c
 
 
 def positive_moment(table: DistributionTable, n: int) -> int:

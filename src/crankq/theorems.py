@@ -8,6 +8,13 @@ widen it (e.g. to locate the empirical threshold) or narrow it.  Every
 comparison is exact integer arithmetic; rational bounds are
 cross-multiplied, never floated.
 
+The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8, EQ9.5,
+EQ9.6) compare whole row segments at once: they read each operand with
+:meth:`~crankq.tables.DistributionTable.row_slice`, prefix-summed along m
+by ``itertools.accumulate`` where the statement is cumulative, and hand
+both lists to ``_Recorder.check_rows``, which still sends every point
+through ``_holds`` in order but builds a point dict only for a violation.
+
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
 """
@@ -16,7 +23,8 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from itertools import accumulate
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from . import families, statistics
 from .errors import RangeError, UnknownTheorem
@@ -93,6 +101,21 @@ class _Recorder:
         self.checked += 1
         if not _holds(lhs, op, rhs):
             self.violations.append(Violation(point, lhs, rhs))
+
+    def check_rows(
+        self,
+        make_point: Callable[[int], Dict[str, object]],
+        idx: Sequence[int],
+        lhs_seq: Sequence[int],
+        op: str,
+        rhs_seq: Sequence[int],
+    ) -> None:
+        """Check lhs_seq[i] op rhs_seq[i] at the points make_point(idx[i]),
+        in order; the point dict is built only for a violation."""
+        self.checked += len(idx)
+        for i, lhs, rhs in zip(idx, lhs_seq, rhs_seq, strict=True):
+            if not _holds(lhs, op, rhs):
+                self.violations.append(Violation(make_point(i), lhs, rhs))
 
 
 class VerifyContext:
@@ -178,6 +201,11 @@ def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
     return register
 
 
+def _row_point(n: int, **extra: object) -> Callable[[int], Dict[str, object]]:
+    """The point builder of a row scan: m -> {"n": n, "m": m, **extra}."""
+    return lambda m: {"n": n, "m": m, **extra}
+
+
 # --------------------------------------------------------------------------
 # rank inequalities
 # --------------------------------------------------------------------------
@@ -189,9 +217,11 @@ def _run_thm_1_1(ctx, rec, n_from, n_to):
     # m = n - 2 is deliberately absent: N(n-2, n) = 0 < 1 = N(n-2, n-1)
     t = ctx.ranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(0, max(n - 2, 0)):
-            rec.check({"n": n, "m": m}, t.get(m, n), ">=", t.get(m, n - 1))
-        rec.check({"n": n, "m": n - 1}, t.get(n - 1, n), ">=", t.get(n - 1, n - 1))
+        for lo, hi in ((0, max(n - 2, 0)), (n - 1, n)):
+            rec.check_rows(
+                _row_point(n), range(lo, hi),
+                t.row_slice(n, lo, hi), ">=", t.row_slice(n - 1, lo, hi),
+            )
 
 
 @_theorem("THM1.2", "rank counts weakly decrease in even steps of m",
@@ -199,8 +229,10 @@ def _run_thm_1_1(ctx, rec, n_from, n_to):
 def _run_thm_1_2(ctx, rec, n_from, n_to):
     t = ctx.ranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(0, n):
-            rec.check({"n": n, "m": m}, t.get(m, n), ">=", t.get(m + 2, n))
+        rec.check_rows(
+            _row_point(n), range(0, n),
+            t.row_slice(n, 0, n), ">=", t.row_slice(n, 2, n + 2),
+        )
 
 
 # --------------------------------------------------------------------------
@@ -251,8 +283,10 @@ def _run_thm_1_3c(ctx, rec, n_from, n_to):
 def _run_thm_1_6(ctx, rec, n_from, n_to):
     t = ctx.cranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(0, n - 1):
-            rec.check({"n": n, "m": m}, t.get(m, n), ">=", t.get(m, n - 1))
+        rec.check_rows(
+            _row_point(n), range(0, n - 1),
+            t.row_slice(n, 0, n - 1), ">=", t.row_slice(n - 1, 0, n - 1),
+        )
 
 
 @_theorem("THM1.7", "crank counts weakly decrease in m for 1 <= m <= n-1",
@@ -260,8 +294,10 @@ def _run_thm_1_6(ctx, rec, n_from, n_to):
 def _run_thm_1_7(ctx, rec, n_from, n_to):
     t = ctx.cranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(1, n):
-            rec.check({"n": n, "m": m}, t.get(m - 1, n), ">=", t.get(m, n))
+        rec.check_rows(
+            _row_point(n), range(1, n),
+            t.row_slice(n, 0, n - 1), ">=", t.row_slice(n, 1, n),
+        )
 
 
 @_theorem("COR1.8", "crank row is unimodal over the window |m| <= n-1",
@@ -271,21 +307,19 @@ def _run_cor_1_8(ctx, rec, n_from, n_to):
     # mirror reduction to nonnegative m
     t = ctx.cranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(-(n - 2), 1):
-            rec.check(
-                {"n": n, "m": m, "form": "window"},
-                t.get(m, n), ">=", t.get(m - 1, n),
-            )
-        for m in range(0, n - 1):
-            rec.check(
-                {"n": n, "m": m, "form": "window"},
-                t.get(m, n), ">=", t.get(m + 1, n),
-            )
-        for m in range(1, n):
-            rec.check(
-                {"n": n, "m": m, "form": "mirror"},
-                t.get(m - 1, n), ">=", t.get(m, n),
-            )
+        window = _row_point(n, form="window")
+        rec.check_rows(
+            window, range(-(n - 2), 1),
+            t.row_slice(n, -(n - 2), 1), ">=", t.row_slice(n, -(n - 1), 0),
+        )
+        # M(m, n) against M(m + 1, n) for 0 <= m <= n - 2, read once for
+        # both the window's right half and the mirror
+        head, tail = t.row_slice(n, 0, n - 1), t.row_slice(n, 1, n)
+        rec.check_rows(window, range(0, n - 1), head, ">=", tail)
+        rec.check_rows(
+            _row_point(n, form="mirror"), range(1, n),
+            head, ">=", tail,
+        )
 
 
 @_theorem("THM1.9", "partition count dominates 21 times the zero-crank count",
@@ -501,24 +535,34 @@ def _run_gbounds(ctx, rec, n_from, n_to):
 # --------------------------------------------------------------------------
 
 
+def _cum_row(t: DistributionTable, n: int, m_lo: int, m_hi: int) -> List[int]:
+    """``cumulative(t).le(m, n)`` for m_lo <= m < m_hi, where -n <= m_lo:
+    row n prefix-summed from m = -n, below which neither table stores a count."""
+    return list(accumulate(t.row_slice(n, -n, m_hi)))[n + m_lo :]
+
+
 @_theorem("EQ9.5", "cumulative crank mass below cumulative rank mass (m <= 0)",
           stated_n_from=1, n_base=1)
 def _run_eq_9_5(ctx, rec, n_from, n_to):
-    mc = ctx.crank_cum(n_to)
-    nc = ctx.rank_cum(n_to)
+    cranks = ctx.cranks(n_to)
+    ranks = ctx.ranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(-n, 1):
-            rec.check({"n": n, "m": m}, mc.le(m, n), "<=", nc.le(m + 1, n))
+        rec.check_rows(
+            _row_point(n), range(-n, 1),
+            _cum_row(cranks, n, -n, 1), "<=", _cum_row(ranks, n, -n + 1, 2),
+        )
 
 
 @_theorem("EQ9.6", "cumulative rank mass below cumulative crank mass (m >= 0)",
           stated_n_from=1, n_base=1)
 def _run_eq_9_6(ctx, rec, n_from, n_to):
-    mc = ctx.crank_cum(n_to)
-    nc = ctx.rank_cum(n_to)
+    cranks = ctx.cranks(n_to)
+    ranks = ctx.ranks(n_to)
     for n in range(n_from, n_to + 1):
-        for m in range(0, n + 1):
-            rec.check({"n": n, "m": m}, nc.le(m - 1, n), "<=", mc.le(m, n))
+        rec.check_rows(
+            _row_point(n), range(0, n + 1),
+            _cum_row(ranks, n, -1, n), "<=", _cum_row(cranks, n, 0, n + 1),
+        )
 
 
 @_theorem("EQ9.12", "two central rank counts within four times the zero-crank count",

@@ -150,3 +150,31 @@ def test_degenerate_tables():
     rc = cumulative(rank_table(6))
     assert rc.le(5, 6) == rc.total(6)
     assert rc.le(-6, 6) == 0
+
+
+def test_row_slice_zero_pads_like_get():
+    cranks, ranks = crank_table(6), rank_table(6)
+    cases = [
+        (4, -9, -6),  # wholly below the stored m-range
+        (4, 6, 9),  # wholly above it
+        (4, -7, 8),  # straddles it on both sides
+        (4, 2, 6),  # straddles its top
+        (0, -2, 3),  # row 0
+        (-1, -2, 3),  # n < 0
+        (-5, 0, 1),
+        (4, 2, 2),  # empty
+        (4, 3, 1),  # empty, m_hi below m_lo
+        (6, -6, 7),
+    ]
+    for table in (cranks, ranks):
+        for n, m_lo, m_hi in cases:
+            got = table.row_slice(n, m_lo, m_hi)
+            assert got == [table.get(m, n) for m in range(m_lo, m_hi)], (n, m_lo, m_hi)
+        with pytest.raises(IndexError):
+            table.row_slice(7, 0, 1)
+    assert cranks.row_slice(4, -7, 8) == [0] * 3 + cranks.rows[4] + [0] * 3
+    assert cranks.row_slice(4, 2, 2) == [] and ranks.row_slice(-1, 3, 1) == []
+    # a new list: writing to it leaves the table as it was
+    row = cranks.row_slice(4, -4, 5)
+    row[0] += 1
+    assert cranks.get(-4, 4) == 1

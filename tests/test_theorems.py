@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import pytest
 
 from crankq import theorems
@@ -15,6 +17,7 @@ from crankq.theorems import (
     verify,
     verify_suite,
 )
+from crankq.tables import CumulativeTable, DistributionTable
 
 
 @pytest.mark.parametrize("theorem_id", SUITE_ORDER)
@@ -55,6 +58,96 @@ def test_falsified_comparison_cannot_pass(monkeypatch, ctx):
     report = verify("THM1.7", 50, ctx=ctx)
     assert report.status == "fail"
     assert len(report.violations) == report.checked > 0
+
+
+ROW_SCANS = ("THM1.1", "THM1.2", "THM1.6", "THM1.7", "COR1.8", "EQ9.5", "EQ9.6")
+
+
+@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+def test_falsified_comparison_fails_every_row_scan_point(theorem_id, monkeypatch, ctx):
+    # every point of a row-slice scan still goes through _holds, and no
+    # scan reads a cell with get or le
+    def per_cell_read(*args):
+        raise AssertionError(f"{theorem_id} read a single cell")
+
+    monkeypatch.setattr(DistributionTable, "get", per_cell_read)
+    monkeypatch.setattr(CumulativeTable, "le", per_cell_read)
+    monkeypatch.setattr(theorems, "_holds", lambda lhs, op, rhs: False)
+    report = verify(theorem_id, 50, ctx=ctx)
+    assert len(report.violations) == report.checked > 0
+
+
+_OPS = {">=": operator.ge, "<=": operator.le}
+
+
+def _reference_comparisons(theorem_id, ctx, n, n_to):
+    """(point, lhs, op, rhs) of every comparison at row n, read one cell at
+    a time with get and le, in the order the theorem's scan makes them."""
+    ranks, cranks = ctx.ranks(n_to), ctx.cranks(n_to)
+    if theorem_id == "THM1.1":
+        for m in [*range(0, max(n - 2, 0)), n - 1]:
+            yield {"n": n, "m": m}, ranks.get(m, n), ">=", ranks.get(m, n - 1)
+    elif theorem_id == "THM1.2":
+        for m in range(0, n):
+            yield {"n": n, "m": m}, ranks.get(m, n), ">=", ranks.get(m + 2, n)
+    elif theorem_id == "THM1.6":
+        for m in range(0, n - 1):
+            yield {"n": n, "m": m}, cranks.get(m, n), ">=", cranks.get(m, n - 1)
+    elif theorem_id == "THM1.7":
+        for m in range(1, n):
+            yield {"n": n, "m": m}, cranks.get(m - 1, n), ">=", cranks.get(m, n)
+    elif theorem_id == "COR1.8":
+        for m in range(-(n - 2), 1):
+            point = {"n": n, "m": m, "form": "window"}
+            yield point, cranks.get(m, n), ">=", cranks.get(m - 1, n)
+        for m in range(0, n - 1):
+            point = {"n": n, "m": m, "form": "window"}
+            yield point, cranks.get(m, n), ">=", cranks.get(m + 1, n)
+        for m in range(1, n):
+            point = {"n": n, "m": m, "form": "mirror"}
+            yield point, cranks.get(m - 1, n), ">=", cranks.get(m, n)
+    elif theorem_id == "EQ9.5":
+        mc, nc = ctx.crank_cum(n_to), ctx.rank_cum(n_to)
+        for m in range(-n, 1):
+            yield {"n": n, "m": m}, mc.le(m, n), "<=", nc.le(m + 1, n)
+    elif theorem_id == "EQ9.6":
+        mc, nc = ctx.crank_cum(n_to), ctx.rank_cum(n_to)
+        for m in range(0, n + 1):
+            yield {"n": n, "m": m}, nc.le(m - 1, n), "<=", mc.le(m, n)
+
+
+@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+def test_row_slice_scans_match_per_point_reference(theorem_id, ctx):
+    spec = REGISTRY[theorem_id]
+    found = 0
+    for n_to in (3, 7, 20, 90):
+        comparisons = [
+            c
+            for n in range(spec.n_base, n_to + 1)
+            for c in _reference_comparisons(theorem_id, ctx, n, n_to)
+        ]
+        violations = [
+            {"point": point, "lhs": lhs, "rhs": rhs}
+            for point, lhs, op, rhs in comparisons
+            if not _OPS[op](lhs, rhs)
+        ]
+        expected = {
+            "id": theorem_id,
+            "params": {},
+            "range": {
+                "n_from": spec.n_base,
+                "n_to": n_to,
+                "stated_n_from": spec.stated_n_from,
+            },
+            "checked": len(comparisons),
+            "violations": violations,
+            "status": "fail" if violations else "pass",
+        }
+        report = verify(theorem_id, n_to, overrides={"n_from": spec.n_base}, ctx=ctx)
+        assert report.as_dict() == expected, n_to
+        found += len(violations)
+    # the scans stated from above their base have violations below it
+    assert (found > 0) == (spec.stated_n_from > spec.n_base)
 
 
 def test_find_threshold_values(ctx):
