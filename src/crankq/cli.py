@@ -10,10 +10,12 @@ the same flags are byte-identical.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import sys
-from typing import Iterable, Iterator, List, Optional, Sequence
+from operator import add
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import families, identities, statistics, theorems
 from .errors import (
@@ -78,22 +80,33 @@ def _json_table(
     yield ("]" if sep == "\n" else "\n  ]") + f',\n  "stat": {json.dumps(stat)}\n}}\n'
 
 
+def _table_rows(halves: Iterable[List[int]]) -> Iterator[Tuple[int, int, List[str]]]:
+    """(n, w, the counts of row n for m = -w..w as text), one per streamed
+    right half; each count is converted to text once and mirrored as text."""
+    for n, half in enumerate(halves):
+        cells = list(map(str, half))
+        yield n, len(half) - 1, cells[:0:-1] + cells
+
+
 def cmd_table(args) -> int:
-    if args.n_max < 0:
+    n_max = args.n_max
+    if n_max < 0:
         print("error: --n-max must be nonnegative", file=sys.stderr)
         return 2
     if args.stat == "crank":
-        table = statistics.crank_table(args.n_max)
+        halves = statistics.crank_halves(n_max)
     else:
-        table = statistics.rank_table(args.n_max)
-    rows = (
-        zip(itertools.repeat(n), table.m_range(n), table.rows[n])
-        for n in range(table.n_max + 1)
-    )
+        halves = statistics.rank_halves(n_max)
+    rows = _table_rows(halves)
     if args.format == "json":
-        _emit(_json_table(args.stat, args.n_max, rows), args.out)
+        cells = (zip(itertools.repeat(n), range(-w, w + 1), c) for n, w, c in rows)
+        _emit(_json_table(args.stat, n_max, cells), args.out)
     else:
-        lines = ("".join(f"{n},{m},{c}\n" for n, m, c in cells) for cells in rows)
+        mcol = [f"{m}," for m in range(-n_max, n_max + 1)]  # mcol[n_max + m]
+        lines = (
+            f"{n}," + f"\n{n},".join(map(add, mcol[n_max - w : n_max + w + 1], c)) + "\n"
+            for n, w, c in rows
+        )
         _emit(itertools.chain(_csv(("n", "m", "count"), ()), lines), args.out)
     return 0
 
@@ -274,9 +287,9 @@ def cmd_plot_unimodal(args) -> int:
     if args.n < 2:
         print("error: --n must be >= 2", file=sys.stderr)
         return 2
-    table = statistics.crank_table(args.n)
     n = args.n
-    rows = [(m, table.get(m, n)) for m in range(-(n - 1), n)]
+    half = collections.deque(statistics.crank_halves(n), maxlen=1)[0]
+    rows = [(m, half[abs(m)]) for m in range(-(n - 1), n)]
     _emit(_csv(("m", "count"), rows), args.out)
     return 0
 

@@ -6,22 +6,32 @@ Both tables come from the sparse forms over 1/(q)_inf: for m >= 0,
     sum_n M(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(k-1)/2+mk} (1-q^k)
 
 (Atkin--Swinnerton-Dyer for the rank, Garvan for the crank), with negative
-m filled in by the symmetry counts(m,n) = counts(-m,n).  Each k-term adds
-the p(n) vector shifted by lead(k)+mk and subtracts it shifted k further,
-and row m has O(n_max/(m+1)) terms, so building a table costs
-O(n_max^2 log n_max) exact big-int additions and O(n_max^2) memory for its
-cells.  The crank's n = 1 convention row
-(-1, 1), (0, -1), (1, 1) falls out of the form without any
-special-casing; the rank's n = 0 row is set to [1] by convention.
+m filled in by the symmetry counts(m,n) = counts(-m,n).  Reading off q^n,
+the right half (m >= 0) of row n is
 
+    half[m] = acc[m] - acc[m+1],  acc[m] = sum_k (-1)^{k-1} p(a - mk),
+    a = n - lead(k),
+
+so each k-term adds the strided reverse slice p(a), p(a-k), p(a-2k), ...
+to one running list, whose first differences are the half.
+:func:`crank_halves` and :func:`rank_halves` yield these halves one row at
+a time: row n costs O(n log n) exact big-int additions and O(n) memory
+beside the p(n) vector, and only :func:`crank_table` and
+:func:`rank_table`, which collect the mirrored rows, hold O(n_max^2)
+cells.  The crank's n = 1 convention row (-1, 1), (0, -1), (1, 1) falls
+out of the form without any special-casing; the rank's n = 0 row is set
+to [1] by convention.
+
+p(n) comes from Euler's pentagonal recurrence in O(n_max^1.5) additions.
 :func:`crank_gf` evaluates a different crank generating function term by
 term and serves as the independent second route for the crank table.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
-from typing import Callable, List, Tuple
+from itertools import chain, count, islice
+from operator import add, mul, sub
+from typing import Callable, Iterable, Iterator, List
 
 from .series import TruncatedSeries, geom_divide, inv_pochhammer, vec_add
 from .tables import CumulativeTable, DistributionTable, cumulative
@@ -57,65 +67,93 @@ def crank_gf(m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(acc)
 
 
-def _sparse_form_rows(
-    n_max: int, lead: Callable[[int], int], m_lag: int
-) -> Tuple[List[int], List[List[int]]]:
-    """``(min_m, rows)`` of counts(m,n) for 0 <= n <= n_max, where for m >= 0
-
-        sum_n counts(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{lead(k)+mk} (1-q^k)
-
-    and negative m is mirrored.  Row n covers |m| <= max(n - m_lag, 0);
-    ``lead`` must be increasing with lead(1) >= 0.
-    """
+def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    pvec = partition_numbers(n_max)
-    by_m: List[List[int]] = []
-    for m in range(n_max + 1):
-        row = [0] * (n_max + 1)
-        k = 1
-        e = lead(1) + m
-        while e <= n_max:
-            plus, minus = (add, sub) if k % 2 else (sub, add)
-            row[e:] = map(plus, row[e:], pvec)
-            row[e + k :] = map(minus, row[e + k :], pvec)
-            k += 1
-            e = lead(k) + m * k
-        by_m.append(row)
 
-    rows: List[List[int]] = []
+
+def _sparse_form_halves(
+    n_max: int, lead: Callable[[int], int], m_lag: int
+) -> Iterator[List[int]]:
+    """For n = 0..n_max, counts(m,n) for 0 <= m <= max(n - m_lag, 0) as a
+    new list, where for m >= 0
+
+        sum_n counts(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{lead(k)+mk} (1-q^k);
+
+    ``lead`` must be increasing with lead(1) = m_lag, so the k = 1 slice
+    spans the whole half."""
+    pvec = partition_numbers(n_max)
+    for n in range(n_max + 1):
+        # acc[m] = sum_k (-1)^{k-1} p(a - mk); half[m] = acc[m] - acc[m + 1]
+        acc = [0] * (max(n - m_lag, 0) + 1)
+        k = 1
+        while (a := n - lead(k)) >= 0:
+            s = pvec[a::-k]  # p(a - mk) for m = 0, 1, ..., a // k
+            acc[: len(s)] = map(add if k % 2 else sub, acc, s)
+            k += 1
+        yield [*map(sub, acc, acc[1:]), acc[-1]]
+
+
+def crank_halves(n_max: int) -> Iterator[List[int]]:
+    """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
+    read, from Garvan's form with lead(k) = k(k-1)/2."""
+    _check_n_max(n_max)
+    return _sparse_form_halves(n_max, lambda k: k * (k - 1) // 2, 0)
+
+
+def rank_halves(n_max: int) -> Iterator[List[int]]:
+    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
+    as they are read, from the Atkin--Swinnerton-Dyer form with
+    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition."""
+    _check_n_max(n_max)
+    halves = _sparse_form_halves(n_max, lambda k: k * (3 * k - 1) // 2, 1)
+    return chain([[1]], islice(halves, 1, None))
+
+
+def _collect(stat: str, n_max: int, halves: Iterable[List[int]]) -> DistributionTable:
+    """The dense table whose row n is half n mirrored about m = 0."""
     min_m: List[int] = []
-    for n, column in enumerate(zip(*by_m)):
-        right = list(column[: max(n - m_lag, 0) + 1])
-        rows.append(right[:0:-1] + right)
-        min_m.append(1 - len(right))
-    return min_m, rows
+    rows: List[List[int]] = []
+    for half in halves:
+        rows.append(half[:0:-1] + half)
+        min_m.append(1 - len(half))
+    return DistributionTable(stat=stat, n_max=n_max, min_m=min_m, rows=rows)
 
 
 def crank_table(n_max: int) -> DistributionTable:
-    """M(m,n) for all 0 <= n <= n_max and |m| <= n, from Garvan's form
-    with lead(k) = k(k-1)/2."""
-    min_m, rows = _sparse_form_rows(n_max, lambda k: k * (k - 1) // 2, 0)
-    return DistributionTable(stat="crank", n_max=n_max, min_m=min_m, rows=rows)
+    """M(m,n) for all 0 <= n <= n_max and |m| <= n, from :func:`crank_halves`."""
+    return _collect("crank", n_max, crank_halves(n_max))
 
 
 def rank_table(n_max: int) -> DistributionTable:
-    """N(m,n) for all 0 <= n <= n_max and |m| <= n - 1, from the
-    Atkin--Swinnerton-Dyer form with lead(k) = k(3k-1)/2.  Row 0 is [1],
-    the empty partition."""
-    min_m, rows = _sparse_form_rows(n_max, lambda k: k * (3 * k - 1) // 2, 1)
-    rows[0] = [1]
-    return DistributionTable(stat="rank", n_max=n_max, min_m=min_m, rows=rows)
+    """N(m,n) for all 0 <= n <= n_max and |m| <= n - 1, from
+    :func:`rank_halves`.  Row 0 is [1], the empty partition."""
+    return _collect("rank", n_max, rank_halves(n_max))
 
 
 def partition_numbers(n_max: int) -> List[int]:
-    """p(0..n_max) by dividing 1 by every (1 - q^j), j = 1..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    c = [1] + [0] * n_max
-    for j in range(1, n_max + 1):
-        geom_divide(c, j)
-    return c
+    """p(0..n_max) by Euler's pentagonal recurrence
+
+        p(n) = sum_{k>=1} (-1)^{k-1} (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+
+    with p(n) = 0 for n < 0."""
+    _check_n_max(n_max)
+    p = [1] + [0] * n_max
+    # the generalized pentagonal numbers in increasing order; their signs
+    # run +, +, -, -, +, +, ...
+    pent: List[int] = []
+    k = 1
+    while (g := k * (3 * k - 1) // 2) <= n_max:
+        pent += [g, g + k]
+        k += 1
+    for n in range(1, n_max + 1):
+        total = 0
+        for i, g in enumerate(pent):
+            if g > n:
+                break
+            total += p[n - g] if i & 2 == 0 else -p[n - g]
+        p[n] = total
+    return p
 
 
 def positive_moment(table: DistributionTable, n: int) -> int:
@@ -126,6 +164,11 @@ def positive_moment(table: DistributionTable, n: int) -> int:
     return sum((lo + i) * c for i, c in enumerate(row[start:], start=start))
 
 
+def _half_moment(half: List[int]) -> int:
+    """sum_{m >= 1} m * half[m]."""
+    return sum(map(mul, count(1), half[1:]))
+
+
 def ospt(
     n_max: int,
     cranks: DistributionTable | None = None,
@@ -134,10 +177,18 @@ def ospt(
     """ospt(n) for 1 <= n <= n_max: first positive crank moment minus first
     positive rank moment.  Index 0 of the result is 0 by convention.
 
-    Precomputed tables covering n_max may be passed to avoid rebuilding.
+    Precomputed tables covering n_max may be passed to avoid rebuilding;
+    with neither passed, the moments are read off the streamed halves and
+    no table is built.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if cranks is None and ranks is None:
+        # row 0 of both halves is [1], whose positive moment is 0
+        return [
+            _half_moment(c) - _half_moment(r)
+            for c, r in zip(crank_halves(n_max), rank_halves(n_max))
+        ]
     if cranks is None:
         cranks = crank_table(n_max)
     if ranks is None:
@@ -152,6 +203,8 @@ def ospt(
 
 __all__ = [
     "crank_gf",
+    "crank_halves",
+    "rank_halves",
     "crank_table",
     "rank_table",
     "partition_numbers",

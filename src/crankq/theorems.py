@@ -14,6 +14,8 @@ EQ9.6) compare whole row segments at once: they read each operand with
 by ``itertools.accumulate`` where the statement is cumulative, and hand
 both lists to ``_Recorder.check_rows``, which still sends every point
 through ``_holds`` in order but builds a point dict only for a violation.
+EQ4.4, which runs down the n-axis one m at a time, reads its operands
+with :meth:`~crankq.tables.DistributionTable.column_slice` the same way.
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import sub
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from . import families, statistics
@@ -204,6 +207,11 @@ def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
 def _row_point(n: int, **extra: object) -> Callable[[int], Dict[str, object]]:
     """The point builder of a row scan: m -> {"n": n, "m": m, **extra}."""
     return lambda m: {"n": n, "m": m, **extra}
+
+
+def _column_point(m: int) -> Callable[[int], Dict[str, object]]:
+    """The point builder of a column scan: n -> {"n": n, "m": m}."""
+    return lambda n: {"n": n, "m": m}
 
 
 # --------------------------------------------------------------------------
@@ -462,14 +470,17 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
           stated_n_from=1, n_base=1)
 def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
     t = ctx.cranks(n_to)
+    ns = range(n_from, n_to + 1)
     for m in range(2, m_max + 1):
         d = ctx.fam("d", m, n_to)
         p = ctx.fam("p", m + 1, n_to)
-        for n in range(n_from, n_to + 1):
-            lhs = t.get(m, n) - t.get(m, n - 1)
-            dm = d[n - m] if n - m >= 0 else 0
-            pm = p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0
-            rec.check({"n": n, "m": m}, lhs, ">=", dm + pm)
+        col = t.column_slice(m, n_from - 1, n_to + 1)  # M(m, n_from - 1..n_to)
+        rhs = [
+            (d[n - m] if n - m >= 0 else 0)
+            + (p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0)
+            for n in ns
+        ]
+        rec.check_rows(_column_point(m), ns, list(map(sub, col[1:], col)), ">=", rhs)
 
 
 # --------------------------------------------------------------------------

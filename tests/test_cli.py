@@ -294,6 +294,71 @@ def test_table_json_matches_json_dumps(stat, n_max, capsys):
     )
 
 
+# the whole output at the smallest sizes, as written by the dense-table route
+TABLE_SMALL = {
+    ("crank", 0): [(0, 0, 1)],
+    ("crank", 1): [(0, 0, 1), (1, -1, 1), (1, 0, -1), (1, 1, 1)],
+    ("rank", 0): [(0, 0, 1)],
+    ("rank", 1): [(0, 0, 1), (1, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("stat", ["crank", "rank"])
+@pytest.mark.parametrize("n_max", [0, 1, 60])
+def test_table_streams_without_building_a_table(stat, n_max, monkeypatch, capsys):
+    from crankq import statistics
+    from crankq.tables import DistributionTable
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("crankq table built a dense table")
+
+    monkeypatch.setattr(statistics, "crank_table", no_table)
+    monkeypatch.setattr(statistics, "rank_table", no_table)
+    monkeypatch.setattr(DistributionTable, "__init__", no_table)
+    argv = ["table", "--stat", stat, "--n-max", str(n_max)]
+    code, out_csv = run(capsys, *argv)
+    assert code == 0
+    code, out_json = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    if n_max == 60:
+        assert hashlib.sha256(out_csv.encode()).hexdigest() == TABLE_CSV_SHA256[stat]
+        assert hashlib.sha256(out_json.encode()).hexdigest() == TABLE_JSON_SHA256[stat]
+    else:
+        cells = TABLE_SMALL[stat, n_max]
+        assert out_csv == "n,m,count\n" + "".join(f"{n},{m},{c}\n" for n, m, c in cells)
+        payload = {
+            "stat": stat,
+            "n_max": n_max,
+            "rows": [{"n": n, "m": m, "count": c} for n, m, c in cells],
+        }
+        assert out_json == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_ospt_and_plot_unimodal_stream_rows(n, monkeypatch, capsys):
+    from crankq import statistics
+    from crankq.tables import DistributionTable
+
+    cranks, ranks = statistics.crank_table(n), statistics.rank_table(n)
+    values = statistics.ospt(n, cranks=cranks, ranks=ranks)
+    pvec = statistics.partition_numbers(n)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a row-only command built a dense table")
+
+    monkeypatch.setattr(DistributionTable, "__init__", no_table)
+    code, out = run(capsys, "ospt", "--n-max", str(n))
+    assert code == 0
+    assert out == "n,ospt,p\n" + "".join(
+        f"{i},{values[i]},{pvec[i]}\n" for i in range(1, n + 1)
+    )
+    code, out = run(capsys, "plot-unimodal", "--n", str(n))
+    assert code == 0
+    assert out == "m,count\n" + "".join(
+        f"{m},{cranks.get(m, n)}\n" for m in range(-(n - 1), n)
+    )
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = tmp_path / "t.csv"
     code = cli.main(["table", "--stat", "rank", "--n-max", "5", "--out", str(path)])

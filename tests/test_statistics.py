@@ -5,12 +5,15 @@ from __future__ import annotations
 import pytest
 
 from crankq.enumeration import crank_distribution_bruteforce, rank_distribution_dp
+from crankq.series import inv_pochhammer
 from crankq.statistics import (
     crank_gf,
+    crank_halves,
     crank_table,
     ospt,
     partition_numbers,
     positive_moment,
+    rank_halves,
     rank_table,
 )
 from crankq.tables import cumulative
@@ -89,6 +92,46 @@ def test_partition_numbers_small():
     pvec = partition_numbers(30)
     assert pvec[:5] == [1, 1, 2, 3, 5]
     assert pvec[30] == 5604
+
+
+def test_partition_numbers_match_series_route():
+    # the pentagonal recurrence against 1/(q;q)_N expanded by N geometric
+    # divisions
+    n = 1000
+    assert partition_numbers(n) == inv_pochhammer(1, n, n).coeffs()
+    with pytest.raises(ValueError):
+        partition_numbers(-1)
+
+
+@pytest.mark.parametrize("build", [crank_halves, rank_halves, crank_table, rank_table])
+def test_negative_n_max_raises_at_call_time(build):
+    # a generator body runs only at its first next(): the check must not wait
+    with pytest.raises(ValueError):
+        build(-1)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 5, 30, 400])
+def test_halves_are_the_right_halves_of_the_tables(n_max):
+    for halves, table in (
+        (crank_halves(n_max), crank_table(n_max)),
+        (rank_halves(n_max), rank_table(n_max)),
+    ):
+        got = list(halves)
+        assert len(got) == n_max + 1
+        for n, half in enumerate(got):
+            assert table.min_m[n] == 1 - len(half)
+            assert table.rows[n] == half[:0:-1] + half
+    assert next(rank_halves(n_max)) == [1]
+    assert next(crank_halves(n_max)) == [1]
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 50, 300])
+def test_streamed_ospt_matches_the_table_route(n_max):
+    cranks, ranks = crank_table(n_max), rank_table(n_max)
+    want = ospt(n_max, cranks=cranks, ranks=ranks)
+    assert ospt(n_max) == want
+    assert ospt(n_max, cranks=cranks) == want
+    assert ospt(n_max, ranks=ranks) == want
 
 
 def test_cumulative_endpoints_and_monotonicity():
@@ -178,3 +221,28 @@ def test_row_slice_zero_pads_like_get():
     row = cranks.row_slice(4, -4, 5)
     row[0] += 1
     assert cranks.get(-4, 4) == 1
+
+
+def test_column_slice_zero_pads_like_get():
+    cranks, ranks = crank_table(6), rank_table(6)
+    cases = [
+        (2, 0, 7),  # the whole column, rows 0 and 1 below the m-range
+        (0, -3, 4),  # starts below n = 0
+        (-5, -2, 2),  # wholly outside the stored m-range
+        (9, 0, 7),
+        (1, -4, -1),  # n < 0 only
+        (3, 4, 4),  # empty
+        (3, 5, 2),  # empty, n_hi below n_lo
+        (-1, 6, 7),  # the last row
+    ]
+    for table in (cranks, ranks):
+        for m, n_lo, n_hi in cases:
+            got = table.column_slice(m, n_lo, n_hi)
+            assert got == [table.get(m, n) for n in range(n_lo, n_hi)], (m, n_lo, n_hi)
+        with pytest.raises(IndexError):
+            table.column_slice(0, 5, 8)
+    assert cranks.column_slice(3, 7, 7) == []
+    # a new list: writing to it leaves the table as it was
+    col = cranks.column_slice(0, 0, 7)
+    col[4] += 1
+    assert cranks.get(0, 4) == 1

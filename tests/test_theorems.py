@@ -60,13 +60,15 @@ def test_falsified_comparison_cannot_pass(monkeypatch, ctx):
     assert len(report.violations) == report.checked > 0
 
 
-ROW_SCANS = ("THM1.1", "THM1.2", "THM1.6", "THM1.7", "COR1.8", "EQ9.5", "EQ9.6")
+ROW_SCANS = (
+    "THM1.1", "THM1.2", "THM1.6", "THM1.7", "COR1.8", "EQ9.5", "EQ9.6", "EQ4.4",
+)
 
 
 @pytest.mark.parametrize("theorem_id", ROW_SCANS)
 def test_falsified_comparison_fails_every_row_scan_point(theorem_id, monkeypatch, ctx):
-    # every point of a row-slice scan still goes through _holds, and no
-    # scan reads a cell with get or le
+    # every point of a row- or column-slice scan still goes through _holds,
+    # and no scan reads a cell with get or le
     def per_cell_read(*args):
         raise AssertionError(f"{theorem_id} read a single cell")
 
@@ -77,12 +79,40 @@ def test_falsified_comparison_fails_every_row_scan_point(theorem_id, monkeypatch
     assert len(report.violations) == report.checked > 0
 
 
+def test_eq_4_4_reports_violations_m_major(monkeypatch, ctx):
+    # the column scan keeps the per-point scan's order and point keys,
+    # which the CSV notes print as a dict repr
+    monkeypatch.setattr(theorems, "_holds", lambda lhs, op, rhs: False)
+    report = verify("EQ4.4", 20, ctx=ctx)
+    points = [v.point for v in report.violations]
+    assert points == [{"n": n, "m": m} for m in range(2, 16) for n in range(1, 21)]
+    assert all(list(p) == ["n", "m"] for p in points)
+
+
 _OPS = {">=": operator.ge, "<=": operator.le}
 
 
-def _reference_comparisons(theorem_id, ctx, n, n_to):
-    """(point, lhs, op, rhs) of every comparison at row n, read one cell at
-    a time with get and le, in the order the theorem's scan makes them."""
+def _reference_comparisons(theorem_id, ctx, n_from, n_to):
+    """(point, lhs, op, rhs) of every comparison for n_from <= n <= n_to,
+    read one cell at a time with get and le, in the order the theorem's
+    scan makes them."""
+    if theorem_id == "EQ4.4":
+        # m-major: down the n-axis one m at a time
+        cranks = ctx.cranks(n_to)
+        for m in range(2, REGISTRY["EQ4.4"].defaults["m_max"] + 1):
+            d, p = ctx.fam("d", m, n_to), ctx.fam("p", m + 1, n_to)
+            for n in range(n_from, n_to + 1):
+                rhs = (d[n - m] if n >= m else 0) + (
+                    p[n - 2 * m - 3] if n >= 2 * m + 3 else 0
+                )
+                point = {"n": n, "m": m}
+                yield point, cranks.get(m, n) - cranks.get(m, n - 1), ">=", rhs
+        return
+    for n in range(n_from, n_to + 1):
+        yield from _reference_row(theorem_id, ctx, n, n_to)
+
+
+def _reference_row(theorem_id, ctx, n, n_to):
     ranks, cranks = ctx.ranks(n_to), ctx.cranks(n_to)
     if theorem_id == "THM1.1":
         for m in [*range(0, max(n - 2, 0)), n - 1]:
@@ -121,11 +151,7 @@ def test_row_slice_scans_match_per_point_reference(theorem_id, ctx):
     spec = REGISTRY[theorem_id]
     found = 0
     for n_to in (3, 7, 20, 90):
-        comparisons = [
-            c
-            for n in range(spec.n_base, n_to + 1)
-            for c in _reference_comparisons(theorem_id, ctx, n, n_to)
-        ]
+        comparisons = list(_reference_comparisons(theorem_id, ctx, spec.n_base, n_to))
         violations = [
             {"point": point, "lhs": lhs, "rhs": rhs}
             for point, lhs, op, rhs in comparisons
@@ -133,7 +159,7 @@ def test_row_slice_scans_match_per_point_reference(theorem_id, ctx):
         ]
         expected = {
             "id": theorem_id,
-            "params": {},
+            "params": dict(spec.defaults),
             "range": {
                 "n_from": spec.n_base,
                 "n_to": n_to,
