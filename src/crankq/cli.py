@@ -10,7 +10,6 @@ the same flags are byte-identical.
 from __future__ import annotations
 
 import argparse
-import collections
 import itertools
 import json
 import sys
@@ -288,7 +287,7 @@ def cmd_plot_unimodal(args) -> int:
         print("error: --n must be >= 2", file=sys.stderr)
         return 2
     n = args.n
-    half = collections.deque(statistics.crank_halves(n), maxlen=1)[0]
+    half = statistics.crank_half(n)
     rows = [(m, half[abs(m)]) for m in range(-(n - 1), n)]
     _emit(_csv(("m", "count"), rows), args.out)
     return 0

@@ -15,8 +15,9 @@ the right half (m >= 0) of row n is
 so each k-term adds the strided reverse slice p(a), p(a-k), p(a-2k), ...
 to one running list, whose first differences are the half.
 :func:`crank_halves` and :func:`rank_halves` yield these halves one row at
-a time: row n costs O(n log n) exact big-int additions and O(n) memory
-beside the p(n) vector, and only :func:`crank_table` and
+a time (:func:`crank_half` makes one crank row alone): row n costs
+O(n log n) exact big-int additions and O(n) memory beside the p(n)
+vector, and only :func:`crank_table` and
 :func:`rank_table`, which collect the mirrored rows, hold O(n_max^2)
 cells.  The crank's n = 1 convention row (-1, 1), (0, -1), (1, 1) falls
 out of the form without any special-casing; the rank's n = 0 row is set
@@ -67,46 +68,59 @@ def crank_gf(m: int, order: int) -> TruncatedSeries:
     return TruncatedSeries.from_coeffs(acc)
 
 
-def _check_n_max(n_max: int) -> None:
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+def _crank_lead(k: int) -> int:
+    return k * (k - 1) // 2
 
 
-def _sparse_form_halves(
-    n_max: int, lead: Callable[[int], int], m_lag: int
-) -> Iterator[List[int]]:
-    """For n = 0..n_max, counts(m,n) for 0 <= m <= max(n - m_lag, 0) as a
-    new list, where for m >= 0
+def _rank_lead(k: int) -> int:
+    return k * (3 * k - 1) // 2
+
+
+def _sparse_form_half(
+    pvec: List[int], n: int, lead: Callable[[int], int], m_lag: int
+) -> List[int]:
+    """counts(m,n) for 0 <= m <= max(n - m_lag, 0) as a new list, from
+    p(0..n) in ``pvec``, where for m >= 0
 
         sum_n counts(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{lead(k)+mk} (1-q^k);
 
     ``lead`` must be increasing with lead(1) = m_lag, so the k = 1 slice
     spans the whole half."""
+    # acc[m] = sum_k (-1)^{k-1} p(a - mk); half[m] = acc[m] - acc[m + 1]
+    acc = [0] * (max(n - m_lag, 0) + 1)
+    k = 1
+    while (a := n - lead(k)) >= 0:
+        s = pvec[a::-k]  # p(a - mk) for m = 0, 1, ..., a // k
+        acc[: len(s)] = map(add if k % 2 else sub, acc, s)
+        k += 1
+    return [*map(sub, acc, acc[1:]), acc[-1]]
+
+
+def _sparse_form_halves(
+    n_max: int, lead: Callable[[int], int], m_lag: int
+) -> Iterator[List[int]]:
+    """:func:`_sparse_form_half` for n = 0..n_max, made as they are read;
+    p(0..n_max), and so the n_max check, comes at call time."""
     pvec = partition_numbers(n_max)
-    for n in range(n_max + 1):
-        # acc[m] = sum_k (-1)^{k-1} p(a - mk); half[m] = acc[m] - acc[m + 1]
-        acc = [0] * (max(n - m_lag, 0) + 1)
-        k = 1
-        while (a := n - lead(k)) >= 0:
-            s = pvec[a::-k]  # p(a - mk) for m = 0, 1, ..., a // k
-            acc[: len(s)] = map(add if k % 2 else sub, acc, s)
-            k += 1
-        yield [*map(sub, acc, acc[1:]), acc[-1]]
+    return (_sparse_form_half(pvec, n, lead, m_lag) for n in range(n_max + 1))
 
 
 def crank_halves(n_max: int) -> Iterator[List[int]]:
     """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
     read, from Garvan's form with lead(k) = k(k-1)/2."""
-    _check_n_max(n_max)
-    return _sparse_form_halves(n_max, lambda k: k * (k - 1) // 2, 0)
+    return _sparse_form_halves(n_max, _crank_lead, 0)
+
+
+def crank_half(n: int) -> List[int]:
+    """M(m,n) for 0 <= m <= n, row n of :func:`crank_halves` alone."""
+    return _sparse_form_half(partition_numbers(n), n, _crank_lead, 0)
 
 
 def rank_halves(n_max: int) -> Iterator[List[int]]:
     """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
     as they are read, from the Atkin--Swinnerton-Dyer form with
     lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition."""
-    _check_n_max(n_max)
-    halves = _sparse_form_halves(n_max, lambda k: k * (3 * k - 1) // 2, 1)
+    halves = _sparse_form_halves(n_max, _rank_lead, 1)
     return chain([[1]], islice(halves, 1, None))
 
 
@@ -137,7 +151,8 @@ def partition_numbers(n_max: int) -> List[int]:
         p(n) = sum_{k>=1} (-1)^{k-1} (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
 
     with p(n) = 0 for n < 0."""
-    _check_n_max(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
     p = [1] + [0] * n_max
     # the generalized pentagonal numbers in increasing order; their signs
     # run +, +, -, -, +, +, ...
@@ -169,6 +184,11 @@ def _half_moment(half: List[int]) -> int:
     return sum(map(mul, count(1), half[1:]))
 
 
+def _table_halves(table: DistributionTable) -> Iterator[List[int]]:
+    """The right half (m >= 0) of each row of a symmetric table."""
+    return (row[len(row) // 2 :] for row in table.rows)
+
+
 def ospt(
     n_max: int,
     cranks: DistributionTable | None = None,
@@ -178,32 +198,26 @@ def ospt(
     positive rank moment.  Index 0 of the result is 0 by convention.
 
     Precomputed tables covering n_max may be passed to avoid rebuilding;
-    with neither passed, the moments are read off the streamed halves and
-    no table is built.
+    a statistic with no table passed is read off its streamed halves, and
+    no table is built for it.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if cranks is None and ranks is None:
-        # row 0 of both halves is [1], whose positive moment is 0
-        return [
-            _half_moment(c) - _half_moment(r)
-            for c, r in zip(crank_halves(n_max), rank_halves(n_max))
-        ]
-    if cranks is None:
-        cranks = crank_table(n_max)
-    if ranks is None:
-        ranks = rank_table(n_max)
-    if cranks.n_max < n_max or ranks.n_max < n_max:
+    if any(t is not None and t.n_max < n_max for t in (cranks, ranks)):
         raise ValueError("supplied tables do not cover n_max")
-    out = [0]
-    for n in range(1, n_max + 1):
-        out.append(positive_moment(cranks, n) - positive_moment(ranks, n))
-    return out
+    c_halves = crank_halves(n_max) if cranks is None else _table_halves(cranks)
+    r_halves = rank_halves(n_max) if ranks is None else _table_halves(ranks)
+    # row 0 of both is [1], whose positive moment is 0
+    return [
+        _half_moment(c) - _half_moment(r)
+        for c, r in islice(zip(c_halves, r_halves), n_max + 1)
+    ]
 
 
 __all__ = [
     "crank_gf",
     "crank_halves",
+    "crank_half",
     "rank_halves",
     "crank_table",
     "rank_table",

@@ -8,6 +8,7 @@ from crankq.enumeration import crank_distribution_bruteforce, rank_distribution_
 from crankq.series import inv_pochhammer
 from crankq.statistics import (
     crank_gf,
+    crank_half,
     crank_halves,
     crank_table,
     ospt,
@@ -103,7 +104,9 @@ def test_partition_numbers_match_series_route():
         partition_numbers(-1)
 
 
-@pytest.mark.parametrize("build", [crank_halves, rank_halves, crank_table, rank_table])
+@pytest.mark.parametrize(
+    "build", [crank_halves, rank_halves, crank_table, rank_table, crank_half]
+)
 def test_negative_n_max_raises_at_call_time(build):
     # a generator body runs only at its first next(): the check must not wait
     with pytest.raises(ValueError):
@@ -123,6 +126,7 @@ def test_halves_are_the_right_halves_of_the_tables(n_max):
             assert table.rows[n] == half[:0:-1] + half
     assert next(rank_halves(n_max)) == [1]
     assert next(crank_halves(n_max)) == [1]
+    assert crank_half(n_max) == crank_table(n_max).rows[n_max][n_max:]
 
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 50, 300])
@@ -132,6 +136,12 @@ def test_streamed_ospt_matches_the_table_route(n_max):
     assert ospt(n_max) == want
     assert ospt(n_max, cranks=cranks) == want
     assert ospt(n_max, ranks=ranks) == want
+    # tables wider than n_max are read only up to row n_max
+    wide_c, wide_r = crank_table(n_max + 3), rank_table(n_max + 3)
+    assert ospt(n_max, cranks=wide_c, ranks=wide_r) == want
+    assert ospt(n_max, ranks=wide_r) == want
+    for n in range(1, n_max + 1):
+        assert want[n] == positive_moment(cranks, n) - positive_moment(ranks, n)
 
 
 def test_cumulative_endpoints_and_monotonicity():
@@ -182,6 +192,10 @@ def test_rank_table_thin_wrapper():
 def test_ospt_validates_inputs():
     with pytest.raises(ValueError):
         ospt(0)
+    with pytest.raises(ValueError):
+        ospt(6, cranks=crank_table(5))
+    with pytest.raises(ValueError):
+        ospt(6, ranks=rank_table(5))
 
 
 def test_degenerate_tables():
