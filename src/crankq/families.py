@@ -24,10 +24,15 @@ from .errors import InvalidK
 from .series import TruncatedSeries, inv_pochhammer, inv_pochhammer_apply
 
 
-def check_k(family: str, k: int) -> None:
+def least_k(family: str) -> int:
+    """The least k the family is defined for."""
     if family not in _FAMILIES:
         raise InvalidK(f"unknown family {family!r}")
-    min_k = _FAMILIES[family][0]
+    return _FAMILIES[family][0]
+
+
+def check_k(family: str, k: int) -> None:
+    min_k = least_k(family)
     if k < min_k:
         raise InvalidK(f"family {family!r} needs k >= {min_k}, got {k}")
 

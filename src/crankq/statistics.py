@@ -96,19 +96,31 @@ def _sparse_form_half(
     return [*map(sub, acc, acc[1:]), acc[-1]]
 
 
+def _p_upto(n_max: int, pvec: List[int] | None) -> List[int]:
+    """``pvec``, checked to hold p(0..n_max), or p(0..n_max) when it is None."""
+    if pvec is None:
+        return partition_numbers(n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    if len(pvec) <= n_max:
+        raise ValueError(f"pvec holds p(0..{len(pvec) - 1}), short of n_max={n_max}")
+    return pvec
+
+
 def _sparse_form_halves(
-    n_max: int, lead: Callable[[int], int], m_lag: int
+    n_max: int, lead: Callable[[int], int], m_lag: int, pvec: List[int] | None
 ) -> Iterator[List[int]]:
     """:func:`_sparse_form_half` for n = 0..n_max, made as they are read;
     p(0..n_max), and so the n_max check, comes at call time."""
-    pvec = partition_numbers(n_max)
+    pvec = _p_upto(n_max, pvec)
     return (_sparse_form_half(pvec, n, lead, m_lag) for n in range(n_max + 1))
 
 
-def crank_halves(n_max: int) -> Iterator[List[int]]:
+def crank_halves(n_max: int, pvec: List[int] | None = None) -> Iterator[List[int]]:
     """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
-    read, from Garvan's form with lead(k) = k(k-1)/2."""
-    return _sparse_form_halves(n_max, _crank_lead, 0)
+    read, from Garvan's form with lead(k) = k(k-1)/2.  ``pvec`` may pass
+    p(0..n_max) (or more) to spare computing it again."""
+    return _sparse_form_halves(n_max, _crank_lead, 0, pvec)
 
 
 def crank_half(n: int) -> List[int]:
@@ -116,11 +128,12 @@ def crank_half(n: int) -> List[int]:
     return _sparse_form_half(partition_numbers(n), n, _crank_lead, 0)
 
 
-def rank_halves(n_max: int) -> Iterator[List[int]]:
+def rank_halves(n_max: int, pvec: List[int] | None = None) -> Iterator[List[int]]:
     """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
     as they are read, from the Atkin--Swinnerton-Dyer form with
-    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition."""
-    halves = _sparse_form_halves(n_max, _rank_lead, 1)
+    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition.  ``pvec`` is
+    as for :func:`crank_halves`."""
+    halves = _sparse_form_halves(n_max, _rank_lead, 1, pvec)
     return chain([[1]], islice(halves, 1, None))
 
 
@@ -179,7 +192,7 @@ def positive_moment(table: DistributionTable, n: int) -> int:
     return sum((lo + i) * c for i, c in enumerate(row[start:], start=start))
 
 
-def _half_moment(half: List[int]) -> int:
+def half_moment(half: List[int]) -> int:
     """sum_{m >= 1} m * half[m]."""
     return sum(map(mul, count(1), half[1:]))
 
@@ -193,23 +206,27 @@ def ospt(
     n_max: int,
     cranks: DistributionTable | None = None,
     ranks: DistributionTable | None = None,
+    pvec: List[int] | None = None,
 ) -> List[int]:
     """ospt(n) for 1 <= n <= n_max: first positive crank moment minus first
     positive rank moment.  Index 0 of the result is 0 by convention.
 
     Precomputed tables covering n_max may be passed to avoid rebuilding;
     a statistic with no table passed is read off its streamed halves, and
-    no table is built for it.
+    no table is built for it.  The streamed halves share one p(0..n_max),
+    taken from ``pvec`` when it is passed.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if any(t is not None and t.n_max < n_max for t in (cranks, ranks)):
         raise ValueError("supplied tables do not cover n_max")
-    c_halves = crank_halves(n_max) if cranks is None else _table_halves(cranks)
-    r_halves = rank_halves(n_max) if ranks is None else _table_halves(ranks)
+    if cranks is None or ranks is None:
+        pvec = _p_upto(n_max, pvec)
+    c_halves = crank_halves(n_max, pvec) if cranks is None else _table_halves(cranks)
+    r_halves = rank_halves(n_max, pvec) if ranks is None else _table_halves(ranks)
     # row 0 of both is [1], whose positive moment is 0
     return [
-        _half_moment(c) - _half_moment(r)
+        half_moment(c) - half_moment(r)
         for c, r in islice(zip(c_halves, r_halves), n_max + 1)
     ]
 

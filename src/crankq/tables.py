@@ -6,12 +6,25 @@ is the empty-partition row {0: 1} for both).  Counts outside the stored
 range are zero by construction; :meth:`DistributionTable.get` (one cell),
 :meth:`DistributionTable.row_slice` (a run of cells in one row) and
 :meth:`DistributionTable.column_slice` (one m over a run of rows) say so.
+:func:`slice_row` is the zero-padded read of a single row, table or not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List
+
+
+def slice_row(row: List[int], min_m: int, m_lo: int, m_hi: int) -> List[int]:
+    """The counts at m_lo <= m < m_hi of one row holding row[m - min_m], as
+    a new list; zero outside the stored m-range, empty when m_hi <= m_lo."""
+    width = max(m_hi - m_lo, 0)
+    lo = m_lo - min_m
+    hi = lo + width
+    a, b = max(lo, 0), min(hi, len(row))
+    if a >= b:
+        return [0] * width
+    return [0] * (a - lo) + row[a:b] + [0] * (hi - b)
 
 
 @dataclass(frozen=True)
@@ -43,13 +56,7 @@ class DistributionTable:
             return [0] * width
         if n > self.n_max:
             raise IndexError(f"n={n} beyond table n_max={self.n_max}")
-        row = self.rows[n]
-        lo = m_lo - self.min_m[n]
-        hi = lo + width
-        a, b = max(lo, 0), min(hi, len(row))
-        if a >= b:
-            return [0] * width
-        return [0] * (a - lo) + row[a:b] + [0] * (hi - b)
+        return slice_row(self.rows[n], self.min_m[n], m_lo, m_hi)
 
     def column_slice(self, m: int, n_lo: int, n_hi: int) -> List[int]:
         """The counts at (m, n) for n_lo <= n < n_hi, as a new list; zero

@@ -8,14 +8,26 @@ widen it (e.g. to locate the empirical threshold) or narrow it.  Every
 comparison is exact integer arithmetic; rational bounds are
 cross-multiplied, never floated.
 
-The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8, EQ9.5,
-EQ9.6) compare whole row segments at once: they read each operand with
-:meth:`~crankq.tables.DistributionTable.row_slice`, prefix-summed along m
-by ``itertools.accumulate`` where the statement is cumulative, and hand
-both lists to ``_Recorder.check_rows``, which still sends every point
+The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8, EQ4.4,
+EQ9.5, EQ9.6) build no table.  Each is a generator, fed by one streamed
+pass, :meth:`VerifyContext.stream`: the pass makes the right halves of
+the crank and rank rows n = 0, 1, ... from one p(0..N)
+(:func:`~crankq.statistics.crank_halves`,
+:func:`~crankq.statistics.rank_halves`), mirrors them, and sends each scan
+the window of rows n - 1 and n for every n in its range, then None.  A
+scan reads a row with ``_Row.slice`` (zero-padded like
+:meth:`~crankq.tables.DistributionTable.row_slice`), prefix-sums it with
+``itertools.accumulate`` where the statement is cumulative, and hands
+both operand lists to ``_Recorder.check_rows``, which sends every point
 through ``_holds`` in order but builds a point dict only for a violation.
-EQ4.4, which runs down the n-axis one m at a time, reads its operands
-with :meth:`~crankq.tables.DistributionTable.column_slice` the same way.
+EQ4.4 keeps M(m, n) for its m-range as the rows go by and checks one
+column m at a time after the pass, so its violations stay m-major.  The
+same pass keeps the one-dimensional sequences the other scans read: ospt
+(from the half moments), N(0, n) and N(1, n).  :func:`verify` runs a pass
+for its one row scan; :func:`verify_suite` runs one pass for all eight,
+then the other scans, and returns the reports in ``SUITE_ORDER``.  Rows
+live one window at a time, so memory is O(N) big ints beside the family
+series, where the dense tables held O(N^2).
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -24,14 +36,19 @@ acceptance suite.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import sub
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Generator, Hashable, List, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from . import families, statistics
 from .errors import RangeError, UnknownTheorem
-from .tables import CumulativeTable, DistributionTable, cumulative
+from .series import geom_divide, vec_add, vec_sub
+from .tables import CumulativeTable, DistributionTable, cumulative, slice_row
 
 
 def _holds(lhs: int, op: str, rhs: int) -> bool:
@@ -121,12 +138,70 @@ class _Recorder:
                 self.violations.append(Violation(make_point(i), lhs, rhs))
 
 
+class _Row(NamedTuple):
+    """One row of counts, counts[m - min_m] for each stored m."""
+
+    counts: List[int]
+    min_m: int
+
+    @classmethod
+    def mirror(cls, half: List[int]) -> "_Row":
+        """The symmetric row whose right half (m >= 0) is ``half``."""
+        return cls(half[:0:-1] + half, 1 - len(half))
+
+    def slice(self, m_lo: int, m_hi: int) -> List[int]:
+        return slice_row(self.counts, self.min_m, m_lo, m_hi)
+
+
+_NO_ROW = _Row([], 0)  # row n = -1, zero everywhere
+
+
+class _Window(NamedTuple):
+    """What a row scan is sent for one n: rows n and n - 1 of both statistics."""
+
+    n: int
+    crank: _Row
+    rank: _Row
+    crank_prev: _Row
+    rank_prev: _Row
+
+
+class _RowSums(NamedTuple):
+    """The one-dimensional sequences a streamed pass keeps, indexed by n."""
+
+    ospt: List[int]
+    rank_m0: List[int]  # N(0, n)
+    rank_m1: List[int]  # N(1, n)
+
+
+# A row scan as VerifyContext.stream takes it: (n_from, n_to, generator).
+_RowScan = Tuple[int, int, Generator[None, Optional[_Window], None]]
+
+# How family k steps from family k - 1: multiply by q^shift, then divide
+# by (1 - q^(k + i)) for each i in offsets.  t has a ladder of its own.
+_FAMILY_STEPS: Dict[str, Tuple[int, Tuple[int, ...]]] = {
+    "p": (0, (0,)),
+    "d": (0, (0,)),
+    "pp": (0, (0, 1)),
+    "f": (0, (0, 1)),
+    "g": (0, (0, 0)),
+    "h": (2, (0, 0)),
+}
+
+
+def _times_q_pow(c: List[int], e: int, order: int) -> List[int]:
+    """c times q^e, cut to the coefficients of q^0..q^order, as a new list."""
+    return ([0] * e + c[: max(order + 1 - e, 0)])[: order + 1]
+
+
 class VerifyContext:
-    """Caches the tables and series shared by the theorem scans.
+    """Caches the sequences and series shared by the theorem scans.
 
     Each entry keeps the largest object built so far, under the n it was
     built for; requests covered by it are served from the cache, larger
-    requests replace it.
+    requests replace it.  The dense tables (:meth:`cranks`, :meth:`ranks`
+    and their cumulative sums) are served for callers and cross-checks;
+    no scan reads them.
     """
 
     def __init__(self):
@@ -157,11 +232,55 @@ class VerifyContext:
     def pvec(self, n_max: int) -> List[int]:
         return self._cached("pvec", n_max, statistics.partition_numbers)
 
-    def ospt(self, n_max: int) -> List[int]:
-        return self._cached(
-            "ospt", n_max,
-            lambda n: statistics.ospt(n, cranks=self.cranks(n), ranks=self.ranks(n)),
+    def stream(self, n_max: int, scans: Sequence[_RowScan] = ()) -> _RowSums:
+        """One pass over the crank and rank rows n = 0..n_max; no table is built.
+
+        Each (n_from, n_to, scan) in ``scans`` is a row-scan generator: it
+        is run to its first ``yield``, sent the window of rows n - 1 and n
+        for each n_from <= n <= n_to, then sent None, after which it ends.
+        The pass keeps ospt, N(0, .) and N(1, .) over 0..n_max, which serve
+        :meth:`ospt`, :meth:`rank_m0` and :meth:`rank_m1` from then on.
+        """
+        pvec = self.pvec(n_max)
+        sums = _RowSums([], [], [])
+        for _, _, scan in scans:
+            next(scan)
+        prev = (_NO_ROW, _NO_ROW)
+        halves = zip(
+            statistics.crank_halves(n_max, pvec), statistics.rank_halves(n_max, pvec)
         )
+        for n, (c, r) in enumerate(halves):
+            sums.ospt.append(statistics.half_moment(c) - statistics.half_moment(r))
+            sums.rank_m0.append(r[0])
+            sums.rank_m1.append(r[1] if len(r) > 1 else 0)
+            rows = (_Row.mirror(c), _Row.mirror(r))
+            window = _Window(n, *rows, *prev)
+            for n_from, n_to, scan in scans:
+                if n_from <= n <= n_to:
+                    scan.send(window)
+            prev = rows
+        for _, _, scan in scans:
+            with suppress(StopIteration):
+                scan.send(None)
+        if self._memo.get("row_sums", (-1,))[0] < n_max:
+            self._memo["row_sums"] = (n_max, sums)
+        return sums
+
+    def _row_sums(self, n_max: int) -> _RowSums:
+        entry = self._memo.get("row_sums")
+        return entry[1] if entry and entry[0] >= n_max else self.stream(n_max)
+
+    def ospt(self, n_max: int) -> List[int]:
+        """ospt(0..n_max), from the half moments of the streamed rows."""
+        return self._row_sums(n_max).ospt
+
+    def rank_m0(self, n_max: int) -> List[int]:
+        """N(0, 0..n_max), from the streamed rows."""
+        return self._row_sums(n_max).rank_m0
+
+    def rank_m1(self, n_max: int) -> List[int]:
+        """N(1, 0..n_max), from the streamed rows."""
+        return self._row_sums(n_max).rank_m1
 
     def crank_m0(self, n_max: int) -> List[int]:
         """M(0, 0..n_max) without building the full table."""
@@ -170,10 +289,43 @@ class VerifyContext:
         )
 
     def fam(self, family: str, k: int, order: int) -> List[int]:
+        """``families.family_series(family, k, order).coeffs()``: the least
+        k of a family is built by ``family_series``, each larger k stepped
+        from the cached k - 1 entry at the same or a larger order."""
         return self._cached(
-            ("fam", family, k), order,
-            lambda n: families.family_series(family, k, n).coeffs(),
+            ("fam", family, k), order, lambda n: self._fam_step(family, k, n)
         )
+
+    def _fam_step(self, family: str, k: int, order: int) -> List[int]:
+        families.check_k(family, k)
+        if family == "t":
+            # t_k = A_k - q^{k+2} B_k
+            a, b = self._t_sums(k, order)
+            return vec_sub(a, _times_q_pow(b, k + 2, order))
+        if k == families.least_k(family):
+            return families.family_series(family, k, order).coeffs()
+        shift, offsets = _FAMILY_STEPS[family]
+        c = _times_q_pow(self.fam(family, k - 1, order), shift, order)
+        for i in offsets:
+            geom_divide(c, k + i)
+        return c
+
+    def _t_sums(self, k: int, order: int) -> Tuple[List[int], List[int]]:
+        """(A_k, B_k) = (sum_{j=2}^{k} q^{2j} p_j, sum_{j=2}^{k} q^j p_j),
+        where p_j = 1/(q^2;q)_{j-1} is the p ladder.  Only the last pair
+        made is kept; it is stepped on when it is for some j <= k at the
+        same or a larger order, else the sums start again from j = 1."""
+        j, a, b = 1, [0] * (order + 1), [0] * (order + 1)
+        entry = self._memo.get("t_sums")
+        if entry is not None and entry[0] >= order and entry[1][0] <= k:
+            j, a, b = entry[1]
+        while j < k:
+            j += 1
+            p = self.fam("p", j, order)
+            a = vec_add(a, _times_q_pow(p, 2 * j, order))
+            b = vec_add(b, _times_q_pow(p, j, order))
+        self._memo["t_sums"] = (order, (j, a, b))
+        return a, b
 
 
 @dataclass(frozen=True)
@@ -182,15 +334,17 @@ class TheoremSpec:
     description: str
     stated_n_from: int
     n_base: int  # smallest n the scan may start from; verify clamps to it
-    run: Callable[..., None]
+    run: Callable[..., Any]
     defaults: Dict[str, int]  # the grid: the scan's keyword defaults
+    rows: bool  # run is a row-scan generator fed by VerifyContext.stream
 
 
 REGISTRY: Dict[str, TheoremSpec] = {}
 
 
 def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
-    """Register the decorated scan; its keyword defaults become the grid."""
+    """Register the decorated scan; its keyword defaults become the grid,
+    and a generator function is registered as a row scan."""
 
     def register(run: Callable[..., None]) -> Callable[..., None]:
         grid = {
@@ -198,7 +352,10 @@ def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
             for name, param in inspect.signature(run).parameters.items()
             if param.default is not param.empty
         }
-        REGISTRY[id] = TheoremSpec(id, description, stated_n_from, n_base, run, grid)
+        REGISTRY[id] = TheoremSpec(
+            id, description, stated_n_from, n_base, run, grid,
+            inspect.isgeneratorfunction(run),
+        )
         return run
 
     return register
@@ -223,23 +380,23 @@ def _column_point(m: int) -> Callable[[int], Dict[str, object]]:
           stated_n_from=12, n_base=1)
 def _run_thm_1_1(ctx, rec, n_from, n_to):
     # m = n - 2 is deliberately absent: N(n-2, n) = 0 < 1 = N(n-2, n-1)
-    t = ctx.ranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n = w.n
         for lo, hi in ((0, max(n - 2, 0)), (n - 1, n)):
             rec.check_rows(
                 _row_point(n), range(lo, hi),
-                t.row_slice(n, lo, hi), ">=", t.row_slice(n - 1, lo, hi),
+                w.rank.slice(lo, hi), ">=", w.rank_prev.slice(lo, hi),
             )
 
 
 @_theorem("THM1.2", "rank counts weakly decrease in even steps of m",
           stated_n_from=0, n_base=0)
 def _run_thm_1_2(ctx, rec, n_from, n_to):
-    t = ctx.ranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n = w.n
         rec.check_rows(
             _row_point(n), range(0, n),
-            t.row_slice(n, 0, n), ">=", t.row_slice(n, 2, n + 2),
+            w.rank.slice(0, n), ">=", w.rank.slice(2, n + 2),
         )
 
 
@@ -252,11 +409,11 @@ def _run_thm_1_2(ctx, rec, n_from, n_to):
 def _run_thm_1_3a(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
-    ranks = ctx.ranks(n_to)
+    n0 = ctx.rank_m0(n_to)
     m0 = ctx.crank_m0(n_to)
     for n in range(n_from, n_to + 1):
         lhs = 4 * o[n]
-        rhs = p[n] + 2 * ranks.get(0, n) - m0[n]
+        rhs = p[n] + 2 * n0[n] - m0[n]
         rec.check({"n": n}, lhs, ">", rhs)
 
 
@@ -264,11 +421,11 @@ def _run_thm_1_3a(ctx, rec, n_from, n_to):
 def _run_thm_1_3b(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
-    ranks = ctx.ranks(n_to)
+    n0, n1 = ctx.rank_m0(n_to), ctx.rank_m1(n_to)
     m0 = ctx.crank_m0(n_to)
     for n in range(n_from, n_to + 1):
         lhs = 4 * o[n]
-        rhs = p[n] + 2 * ranks.get(0, n) - m0[n] + 2 * ranks.get(1, n)
+        rhs = p[n] + 2 * n0[n] - m0[n] + 2 * n1[n]
         rec.check({"n": n}, lhs, "<", rhs)
 
 
@@ -289,22 +446,22 @@ def _run_thm_1_3c(ctx, rec, n_from, n_to):
 @_theorem("THM1.6", "crank counts weakly increase in n for 0 <= m <= n-2",
           stated_n_from=14, n_base=1)
 def _run_thm_1_6(ctx, rec, n_from, n_to):
-    t = ctx.cranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n = w.n
         rec.check_rows(
             _row_point(n), range(0, n - 1),
-            t.row_slice(n, 0, n - 1), ">=", t.row_slice(n - 1, 0, n - 1),
+            w.crank.slice(0, n - 1), ">=", w.crank_prev.slice(0, n - 1),
         )
 
 
 @_theorem("THM1.7", "crank counts weakly decrease in m for 1 <= m <= n-1",
           stated_n_from=44, n_base=1)
 def _run_thm_1_7(ctx, rec, n_from, n_to):
-    t = ctx.cranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n = w.n
         rec.check_rows(
             _row_point(n), range(1, n),
-            t.row_slice(n, 0, n - 1), ">=", t.row_slice(n, 1, n),
+            w.crank.slice(0, n - 1), ">=", w.crank.slice(1, n),
         )
 
 
@@ -313,16 +470,16 @@ def _run_thm_1_7(ctx, rec, n_from, n_to):
 def _run_cor_1_8(ctx, rec, n_from, n_to):
     # two formulations that must agree: the literal window scan and the
     # mirror reduction to nonnegative m
-    t = ctx.cranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n, row = w.n, w.crank
         window = _row_point(n, form="window")
         rec.check_rows(
             window, range(-(n - 2), 1),
-            t.row_slice(n, -(n - 2), 1), ">=", t.row_slice(n, -(n - 1), 0),
+            row.slice(-(n - 2), 1), ">=", row.slice(-(n - 1), 0),
         )
         # M(m, n) against M(m + 1, n) for 0 <= m <= n - 2, read once for
         # both the window's right half and the mirror
-        head, tail = t.row_slice(n, 0, n - 1), t.row_slice(n, 1, n)
+        head, tail = row.slice(0, n - 1), row.slice(1, n)
         rec.check_rows(window, range(0, n - 1), head, ">=", tail)
         rec.check_rows(
             _row_point(n, form="mirror"), range(1, n),
@@ -469,12 +626,17 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
 @_theorem("EQ4.4", "crank increment dominated from below by d and p terms",
           stated_n_from=1, n_base=1)
 def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
-    t = ctx.cranks(n_to)
+    # M(m, n) for 2 <= m <= m_max, one list per n = n_from - 1..n_to;
+    # checked one column m at a time once the rows have gone by
+    rows = []
+    while (w := (yield)) is not None:
+        if not rows:
+            rows.append(w.crank_prev.slice(2, m_max + 1))
+        rows.append(w.crank.slice(2, m_max + 1))
     ns = range(n_from, n_to + 1)
-    for m in range(2, m_max + 1):
+    for m, col in zip(range(2, m_max + 1), zip(*rows)):
         d = ctx.fam("d", m, n_to)
         p = ctx.fam("p", m + 1, n_to)
-        col = t.column_slice(m, n_from - 1, n_to + 1)  # M(m, n_from - 1..n_to)
         rhs = [
             (d[n - m] if n - m >= 0 else 0)
             + (p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0)
@@ -546,43 +708,42 @@ def _run_gbounds(ctx, rec, n_from, n_to):
 # --------------------------------------------------------------------------
 
 
-def _cum_row(t: DistributionTable, n: int, m_lo: int, m_hi: int) -> List[int]:
-    """``cumulative(t).le(m, n)`` for m_lo <= m < m_hi, where -n <= m_lo:
-    row n prefix-summed from m = -n, below which neither table stores a count."""
-    return list(accumulate(t.row_slice(n, -n, m_hi)))[n + m_lo :]
+def _cum_row(row: _Row, n: int, m_lo: int, m_hi: int) -> List[int]:
+    """``cumulative(t).le(m, n)`` for m_lo <= m < m_hi of row n of a table
+    t, where -n <= m_lo: the row prefix-summed from m = -n, below which
+    neither statistic has a count."""
+    return list(accumulate(row.slice(-n, m_hi)))[n + m_lo :]
 
 
 @_theorem("EQ9.5", "cumulative crank mass below cumulative rank mass (m <= 0)",
           stated_n_from=1, n_base=1)
 def _run_eq_9_5(ctx, rec, n_from, n_to):
-    cranks = ctx.cranks(n_to)
-    ranks = ctx.ranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n = w.n
         rec.check_rows(
             _row_point(n), range(-n, 1),
-            _cum_row(cranks, n, -n, 1), "<=", _cum_row(ranks, n, -n + 1, 2),
+            _cum_row(w.crank, n, -n, 1), "<=", _cum_row(w.rank, n, -n + 1, 2),
         )
 
 
 @_theorem("EQ9.6", "cumulative rank mass below cumulative crank mass (m >= 0)",
           stated_n_from=1, n_base=1)
 def _run_eq_9_6(ctx, rec, n_from, n_to):
-    cranks = ctx.cranks(n_to)
-    ranks = ctx.ranks(n_to)
-    for n in range(n_from, n_to + 1):
+    while (w := (yield)) is not None:
+        n = w.n
         rec.check_rows(
             _row_point(n), range(0, n + 1),
-            _cum_row(ranks, n, -1, n), "<=", _cum_row(cranks, n, 0, n + 1),
+            _cum_row(w.rank, n, -1, n), "<=", _cum_row(w.crank, n, 0, n + 1),
         )
 
 
 @_theorem("EQ9.12", "two central rank counts within four times the zero-crank count",
           stated_n_from=44, n_base=1)
 def _run_eq_9_12(ctx, rec, n_from, n_to):
-    ranks = ctx.ranks(n_to)
+    n0, n1 = ctx.rank_m0(n_to), ctx.rank_m1(n_to)
     m0 = ctx.crank_m0(n_to)
     for n in range(n_from, n_to + 1):
-        lhs = ranks.get(0, n) + ranks.get(1, n)
+        lhs = n0[n] + n1[n]
         rec.check({"n": n}, lhs, "<=", 4 * m0[n])
 
 
@@ -602,6 +763,58 @@ def _run_conj_1_4(ctx, rec, n_from, n_to):
 SUITE_ORDER = tuple(REGISTRY)
 
 
+@dataclass
+class _Job:
+    """One theorem's scan over [n_from, n_to] with its grid, and its record."""
+
+    spec: TheoremSpec
+    n_from: int
+    n_to: int
+    params: Dict[str, int]
+    rec: _Recorder = field(default_factory=_Recorder)
+
+    @classmethod
+    def make(
+        cls, theorem_id: str, n_to: int, overrides: Optional[Dict[str, int]]
+    ) -> "_Job":
+        if theorem_id not in REGISTRY:
+            raise UnknownTheorem(theorem_id)
+        spec = REGISTRY[theorem_id]
+        overrides = dict(overrides or {})
+        n_from = max(overrides.pop("n_from", spec.stated_n_from), spec.n_base)
+        params = dict(spec.defaults)
+        for key, value in overrides.items():
+            if key not in params:
+                raise RangeError(f"{theorem_id} does not take override {key!r}")
+            params[key] = value
+        if n_to < n_from:
+            raise RangeError(f"n_to={n_to} is below the scan start {n_from}")
+        return cls(spec, n_from, n_to, params)
+
+    def start(self, ctx: VerifyContext) -> Any:
+        """Run a one-dimensional scan; a row scan only returns its generator."""
+        return self.spec.run(ctx, self.rec, self.n_from, self.n_to, **self.params)
+
+    def row_scan(self, ctx: VerifyContext) -> _RowScan:
+        return self.n_from, self.n_to, self.start(ctx)
+
+    def report(self) -> VerificationReport:
+        if self.rec.checked == 0:
+            raise RangeError(
+                f"{self.spec.id} checks no point for n in "
+                f"[{self.n_from}, {self.n_to}] with {self.params}"
+            )
+        return VerificationReport(
+            theorem_id=self.spec.id,
+            n_from=self.n_from,
+            n_to=self.n_to,
+            params=self.params,
+            checked=self.rec.checked,
+            violations=self.rec.violations,
+            stated_n_from=self.spec.stated_n_from,
+        )
+
+
 def verify(
     theorem_id: str,
     n_to: int,
@@ -612,50 +825,34 @@ def verify(
 
     ``overrides`` may carry ``n_from`` plus any of the theorem's grid
     parameters (``k_max``, ``m_max``).  Defaults are the stated ranges.
+    A row scan gets a streamed pass of its own.
     """
-    if theorem_id not in REGISTRY:
-        raise UnknownTheorem(theorem_id)
-    spec = REGISTRY[theorem_id]
-    overrides = dict(overrides or {})
-    n_from = overrides.pop("n_from", spec.stated_n_from)
-    if n_from < spec.n_base:
-        n_from = spec.n_base
-    params = dict(spec.defaults)
-    for key, value in overrides.items():
-        if key not in params:
-            raise RangeError(f"{theorem_id} does not take override {key!r}")
-        params[key] = value
-    if n_to < n_from:
-        raise RangeError(f"n_to={n_to} is below the scan start {n_from}")
+    job = _Job.make(theorem_id, n_to, overrides)
     if ctx is None:
         ctx = VerifyContext()
-    rec = _Recorder()
-    spec.run(ctx, rec, n_from, n_to, **params)
-    if rec.checked == 0:
-        raise RangeError(
-            f"{theorem_id} checks no point for n in [{n_from}, {n_to}] with {params}"
-        )
-    return VerificationReport(
-        theorem_id=theorem_id,
-        n_from=n_from,
-        n_to=n_to,
-        params=params,
-        checked=rec.checked,
-        violations=rec.violations,
-        stated_n_from=spec.stated_n_from,
-    )
+    if job.spec.rows:
+        ctx.stream(n_to, [job.row_scan(ctx)])
+    else:
+        job.start(ctx)
+    return job.report()
 
 
 def verify_suite(
     n_to: int, ctx: Optional[VerifyContext] = None
 ) -> List[VerificationReport]:
-    """Run every registered theorem at its default range capped by n_to."""
+    """Run every registered theorem at its default range capped by n_to:
+    the row scans in one streamed pass, which also serves the others."""
     need = max(spec.stated_n_from for spec in REGISTRY.values())
     if n_to < need:
         raise RangeError(f"the full suite needs n_to >= {need}, got {n_to}")
     if ctx is None:
         ctx = VerifyContext()
-    return [verify(tid, n_to, ctx=ctx) for tid in SUITE_ORDER]
+    jobs = [_Job.make(tid, n_to, None) for tid in SUITE_ORDER]
+    ctx.stream(n_to, [job.row_scan(ctx) for job in jobs if job.spec.rows])
+    for job in jobs:
+        if not job.spec.rows:
+            job.start(ctx)
+    return [job.report() for job in jobs]
 
 
 def find_threshold(

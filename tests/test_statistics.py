@@ -144,6 +144,34 @@ def test_streamed_ospt_matches_the_table_route(n_max):
         assert want[n] == positive_moment(cranks, n) - positive_moment(ranks, n)
 
 
+def test_streams_share_one_p_vector(monkeypatch):
+    from crankq import statistics
+
+    want = ospt(50, cranks=crank_table(50), ranks=rank_table(50))
+    built = []
+    real = statistics.partition_numbers
+    monkeypatch.setattr(
+        statistics, "partition_numbers", lambda n: built.append(n) or real(n)
+    )
+    assert ospt(50) == want
+    assert built == [50]
+    pvec = real(60)  # a longer p vector serves too
+    assert ospt(50, pvec=pvec) == want
+    assert list(crank_halves(50, pvec)) == list(crank_halves(50))
+    assert list(rank_halves(50, pvec)) == list(rank_halves(50))
+    assert built == [50, 50, 50]
+
+
+@pytest.mark.parametrize("build", [crank_halves, rank_halves])
+def test_passed_p_vector_must_cover_n_max(build):
+    with pytest.raises(ValueError):
+        build(10, partition_numbers(9))
+    with pytest.raises(ValueError):
+        build(-1, partition_numbers(9))
+    with pytest.raises(ValueError):
+        ospt(10, pvec=partition_numbers(9))
+
+
 def test_cumulative_endpoints_and_monotonicity():
     table = crank_table(20)
     cum = cumulative(table)

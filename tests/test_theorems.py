@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import operator
+import tracemalloc
 
 import pytest
 
-from crankq import theorems
+from crankq import families, statistics, tables, theorems
 from crankq.errors import RangeError, UnknownTheorem
 from crankq.theorems import (
     REGISTRY,
@@ -176,6 +177,25 @@ def test_row_slice_scans_match_per_point_reference(theorem_id, ctx):
     assert (found > 0) == (spec.stated_n_from > spec.n_base)
 
 
+@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+def test_row_scans_match_per_point_reference_from_a_later_start(theorem_id, ctx):
+    # a scan that starts above its base still reads row n_from - 1 where
+    # its statement compares neighbouring rows (THM1.1, THM1.6, EQ4.4)
+    spec = REGISTRY[theorem_id]
+    for n_from, n_to in ((2, 7), (5, 20), (30, 90)):
+        comparisons = list(_reference_comparisons(theorem_id, ctx, n_from, n_to))
+        report = verify(theorem_id, n_to, overrides={"n_from": n_from}, ctx=ctx)
+        assert report.n_from == max(n_from, spec.n_base)
+        if report.n_from != n_from:
+            continue
+        assert report.checked == len(comparisons)
+        assert [v.as_dict() for v in report.violations] == [
+            {"point": point, "lhs": lhs, "rhs": rhs}
+            for point, lhs, op, rhs in comparisons
+            if not _OPS[op](lhs, rhs)
+        ]
+
+
 def test_find_threshold_values(ctx):
     assert find_threshold("COR1.8", 300, ctx=ctx) <= 44
     assert find_threshold("THM1.9", 500, ctx=ctx) <= 39
@@ -293,3 +313,110 @@ def test_cumulative_follows_a_rebuilt_table():
     # the covered request still sums the rebuilt table again
     assert ctx.rank_cum(40).n_max == 80
     assert ctx.rank_cum(40) is not small
+
+
+def _no_tables(monkeypatch):
+    """Make every dense-table build raise; count the p(0..N) builds."""
+    def no_table(*args, **kwargs):
+        raise AssertionError("a verify call built a dense table")
+
+    for owner in (statistics, tables, theorems):
+        monkeypatch.setattr(owner, "cumulative", no_table)
+    monkeypatch.setattr(statistics, "crank_table", no_table)
+    monkeypatch.setattr(statistics, "rank_table", no_table)
+    monkeypatch.setattr(DistributionTable, "__init__", no_table)
+    monkeypatch.setattr(CumulativeTable, "__init__", no_table)
+    built = []
+    real = statistics.partition_numbers
+    monkeypatch.setattr(
+        statistics, "partition_numbers", lambda n: built.append(n) or real(n)
+    )
+    return built
+
+
+def test_suite_streams_without_building_a_table(monkeypatch):
+    built = _no_tables(monkeypatch)
+    reports = verify_suite(60, ctx=VerifyContext())
+    assert [r.theorem_id for r in reports] == list(SUITE_ORDER)
+    assert all(r.passed for r in reports)
+    # the one pass and the scans share one p(0..60)
+    assert built == [60]
+
+
+@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+def test_row_scan_streams_without_building_a_table(theorem_id, monkeypatch):
+    _no_tables(monkeypatch)
+    report = verify(theorem_id, 90, ctx=VerifyContext())
+    assert report.passed and report.checked > 0
+
+
+@pytest.mark.parametrize("n_to", [44, 45, 100, 250])
+def test_suite_matches_one_verify_per_theorem(n_to):
+    suite = [r.as_dict() for r in verify_suite(n_to)]
+    assert suite == [verify(tid, n_to).as_dict() for tid in SUITE_ORDER]
+
+
+def test_streamed_sequences_match_the_tables(ctx):
+    n_max = 120
+    cranks, ranks = ctx.cranks(n_max), ctx.ranks(n_max)
+    fresh = VerifyContext()
+    assert fresh.ospt(n_max) == statistics.ospt(n_max, cranks=cranks, ranks=ranks)
+    assert fresh.rank_m0(n_max) == [ranks.get(0, n) for n in range(n_max + 1)]
+    assert fresh.rank_m1(n_max) == [ranks.get(1, n) for n in range(n_max + 1)]
+    # a covered request is served from the same pass
+    assert fresh.rank_m1(40) is fresh.rank_m1(n_max)
+
+
+_LADDER_ORDERS = (0, 1, 2, 7, 60, 300)
+
+
+def _ladder_ks(family):
+    return range(families.least_k(family), 26)
+
+
+@pytest.mark.parametrize("family", ["p", "pp", "d", "t", "f", "g", "h"])
+def test_family_ladders_match_family_series(family):
+    want = {
+        (k, order): families.family_series(family, k, order).coeffs()
+        for k in _ladder_ks(family)
+        for order in _LADDER_ORDERS
+    }
+
+    def check(ctx, k, order):
+        got = ctx.fam(family, k, order)
+        assert got[: order + 1] == want[k, order], (family, k, order)
+
+    for order in _LADDER_ORDERS:
+        for ks in (_ladder_ks(family), reversed(_ladder_ks(family))):
+            ctx = VerifyContext()
+            for k in ks:
+                check(ctx, k, order)
+                assert len(ctx.fam(family, k, order)) == order + 1
+    # one context, each order growing past the entries cached before it,
+    # then shrinking back (served from the larger entries)
+    ctx = VerifyContext()
+    for order in (*_LADDER_ORDERS, *reversed(_LADDER_ORDERS)):
+        for k in _ladder_ks(family)[::3]:
+            check(ctx, k, order)
+        for k in reversed(_ladder_ks(family)):
+            check(ctx, k, order)
+    # one context, k rising while the order cycles up and down
+    ctx = VerifyContext()
+    for i, k in enumerate(_ladder_ks(family)):
+        check(ctx, k, _LADDER_ORDERS[i % len(_LADDER_ORDERS)])
+
+
+def _traced_peak(n_to):
+    tracemalloc.start()
+    try:
+        verify_suite(n_to)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_memory_grows_about_linearly():
+    # the dense tables held O(N^2) cells, a ratio of about 7.6 here;
+    # streamed rows keep it near 3.3 (one window of rows plus the series)
+    small, large = _traced_peak(200), _traced_peak(600)
+    assert large < 4.5 * small, (small, large)
