@@ -16,15 +16,23 @@ Infinite k-sums are truncated once the leading exponent of the k-th
 summand (strictly increasing in k) passes the order; the double sums'
 inner geometric sums are taken in closed form.
 
-Every k-sum of inverse-Pochhammer products is stepped (:func:`_ksum_ip`):
-summand k's product is built from summand k - 1's by multiplying out the
-(1 - q^e) factors that left and dividing in those that joined, which is
-one or two geometric divisions per k for the growing (q^a;q)_{k+c} and
-moving (1 - q^k) factors of the paper's sums, instead of the O(k + m) of
-a product built from 1.  The running list is cut to the coefficients the
-summand's shift leaves below the order, so a sum to order N whose
+Every k-sum of inverse-Pochhammer products is summed inside out
+(:func:`_ksum_ip`).  With summand k written q^{e_k} / P_k, the running
+sum starts as q^{e_K} at the last k, is multiplied by P_k / P_{k+1} and
+has q^{e_k} added at each k below, and is divided by the first product
+at the end.  A step is one or two geometric divisions for the growing
+(q^a;q)_{k+c} and moving (1 - q^k) factors of the paper's sums, instead
+of the O(k + m) of a product built from 1.  The running sum is kept
+divided by q^{e_k}, as the order - e_k + 1 coefficients the shift leaves
+below the order, so adding q^{e_k} only puts a 1 and zeros in front of
+it, where a forward sum adds each summand in.  A sum to order N whose
 exponent grows quadratically in k costs O(N^1.5) coefficient updates.
 :func:`_ksum` remains for summands that are not products.
+
+The crank sides all read :func:`~crankq.statistics.crank_gf` through one
+bounded memo, so a sweep over the m-grids builds each (m, order) series
+once.  It keeps the last _GRID_HI + 1 = 16 series asked for, one grid's
+worth at one order: O(16 N) big ints at order N.
 
 Identity ids and proof-series ids are stable public strings, used by the
 CLI and the acceptance suite.
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InvalidParams, UnknownIdentity
@@ -45,11 +53,12 @@ from .series import (
     geom_divide,
     geom_multiply,
     inv_pochhammer_apply,
-    vec_add,
 )
 from .statistics import crank_gf, partition_numbers
 
 Builder = Callable[..., TruncatedSeries]
+
+_GRID_HI = 15  # top of every default parameter grid
 
 
 # --------------------------------------------------------------------------
@@ -114,28 +123,33 @@ def _ksum_ip(
     at k_end (if given) or once exp_fn(k), strictly increasing, passes the
     order.
 
-    One coefficient list runs across k: it is cut to order - exp_fn(k) + 1
-    coefficients, multiplied by (1 - q^e) for each exponent that left the
-    factor multiset since k - 1 and divided by (1 - q^e) for each that
-    joined, then added into the sum at offset exp_fn(k).
+    With e_k = exp_fn(k) and P_k the k-th product, the sum is taken inside
+    out: W_k = q^{e_k} + (P_k / P_{k+1}) W_{k+1} from the last k down, and
+    the sum is W_{k_start} / P_{k_start}.  One coefficient list holds
+    W_k / q^{e_k} (order - e_k + 1 coefficients): each step multiplies it
+    by (1 - q^e) for each exponent of P_k's factor multiset missing from
+    P_{k+1}'s, divides it by (1 - q^e) for each one P_{k+1} adds, and puts
+    the 1 and e_{k+1} - e_k - 1 zeros in front.  Every summand's factors
+    are read (and checked) before any coefficient is touched.
     """
-    acc = [0] * (order + 1)
-    run = [1] + [0] * order
-    held: Counter = Counter()
+    terms = []  # (e_k, the exponents of P_k below order - e_k + 1)
     k = k_start
     while (k_end is None or k <= k_end) and (e := exp_fn(k)) <= order:
-        n = order - e + 1
-        del run[n:]
-        now = _exponents(factors_fn(k), n)
-        for x in (held - now).elements():
-            if x < n:
-                geom_multiply(run, x)
-        for x in (now - held).elements():
-            geom_divide(run, x)
-        held = now
-        acc[e:] = vec_add(acc[e:], run)
+        terms.append((e, _exponents(factors_fn(k), order - e + 1)))
         k += 1
-    s = TruncatedSeries.from_coeffs(acc)
+    run: List[int] = []  # W_{k+1} / q^{e_{k+1}}; empty past the last summand
+    top, held = order + 1, Counter()
+    for e, now in reversed(terms):
+        for x in (now - held).elements():
+            if x < len(run):
+                geom_multiply(run, x)
+        for x in (held - now).elements():
+            geom_divide(run, x)
+        run[:0] = [1] + [0] * (top - e - 1)
+        top, held = e, now
+    for x in held.elements():
+        geom_divide(run, x)
+    s = TruncatedSeries.from_coeffs([0] * top + run)
     return s if numer is None else s.mul_one_minus_q_pow(numer)
 
 
@@ -202,16 +216,25 @@ def _dk_expand_rhs(order: int, k: int) -> TruncatedSeries:
 # --------------------------------------------------------------------------
 
 
-def _crank(order: int, m: int) -> TruncatedSeries:
+@lru_cache(maxsize=_GRID_HI + 1)
+def _crank_series(m: int, order: int) -> TruncatedSeries:
+    """crank_gf(m, order), kept for the last _GRID_HI + 1 (m, order) pairs
+    asked for: one grid's worth of m = 0.._GRID_HI at one order, which the
+    crank sides of L5.1 through T5.5, T6.1, EQ7.1 and OSPT-DECOMP share.
+    Series are immutable, so the sides share them as they are."""
     return crank_gf(m, order)
 
 
+def _crank(order: int, m: int) -> TruncatedSeries:
+    return _crank_series(m, order)
+
+
 def _crank_below(order: int, m: int) -> TruncatedSeries:
-    return crank_gf(m - 1, order)
+    return _crank_series(m - 1, order)
 
 
 def _crank_diff(order: int, m: int) -> TruncatedSeries:
-    return crank_gf(m - 1, order) - crank_gf(m, order)
+    return _crank_series(m - 1, order) - _crank_series(m, order)
 
 
 def _head_pair(order: int, m: int, a: int) -> TruncatedSeries:
@@ -542,7 +565,7 @@ def _pn_square_sum(order: int) -> TruncatedSeries:
 
 
 def _ospt_decomp_lhs(order: int) -> TruncatedSeries:
-    return _pn_euler(order) - crank_gf(0, order).scale(21)
+    return _pn_euler(order) - _crank_series(0, order).scale(21)
 
 
 def _ospt_decomp_rhs(order: int) -> TruncatedSeries:
@@ -718,9 +741,6 @@ def check_identity(identity_id: str, order: int, **params: int) -> IdentityResul
     return IdentityResult(
         id=entry.id, params=clean, order=order, first_mismatch=mismatch
     )
-
-
-_GRID_HI = 15  # top of every default parameter grid
 
 
 def identity_grid(identity_id: str, hi: Optional[int] = None) -> List[Dict[str, int]]:

@@ -108,19 +108,27 @@ def _p_upto(n_max: int, pvec: List[int] | None) -> List[int]:
 
 
 def _sparse_form_halves(
-    n_max: int, lead: Callable[[int], int], m_lag: int, pvec: List[int] | None
+    n_max: int,
+    lead: Callable[[int], int],
+    m_lag: int,
+    pvec: List[int] | None,
+    n_from: int,
 ) -> Iterator[List[int]]:
-    """:func:`_sparse_form_half` for n = 0..n_max, made as they are read;
-    p(0..n_max), and so the n_max check, comes at call time."""
+    """:func:`_sparse_form_half` for n = n_from..n_max, made as they are
+    read; p(0..n_max), and so the n_max check, comes at call time."""
     pvec = _p_upto(n_max, pvec)
-    return (_sparse_form_half(pvec, n, lead, m_lag) for n in range(n_max + 1))
+    return (
+        _sparse_form_half(pvec, n, lead, m_lag) for n in range(n_from, n_max + 1)
+    )
 
 
-def crank_halves(n_max: int, pvec: List[int] | None = None) -> Iterator[List[int]]:
-    """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
-    read, from Garvan's form with lead(k) = k(k-1)/2.  ``pvec`` may pass
-    p(0..n_max) (or more) to spare computing it again."""
-    return _sparse_form_halves(n_max, _crank_lead, 0, pvec)
+def crank_halves(
+    n_max: int, pvec: List[int] | None = None, n_from: int = 0
+) -> Iterator[List[int]]:
+    """M(m,n) for 0 <= m <= n, one list per n = n_from..n_max (n_from >= 0),
+    made as they are read, from Garvan's form with lead(k) = k(k-1)/2.
+    ``pvec`` may pass p(0..n_max) (or more) to spare computing it again."""
+    return _sparse_form_halves(n_max, _crank_lead, 0, pvec, n_from)
 
 
 def crank_half(n: int) -> List[int]:
@@ -128,13 +136,15 @@ def crank_half(n: int) -> List[int]:
     return _sparse_form_half(partition_numbers(n), n, _crank_lead, 0)
 
 
-def rank_halves(n_max: int, pvec: List[int] | None = None) -> Iterator[List[int]]:
-    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
-    as they are read, from the Atkin--Swinnerton-Dyer form with
-    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition.  ``pvec`` is
-    as for :func:`crank_halves`."""
-    halves = _sparse_form_halves(n_max, _rank_lead, 1, pvec)
-    return chain([[1]], islice(halves, 1, None))
+def rank_halves(
+    n_max: int, pvec: List[int] | None = None, n_from: int = 0
+) -> Iterator[List[int]]:
+    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = n_from..n_max,
+    made as they are read, from the Atkin--Swinnerton-Dyer form with
+    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition.  ``pvec`` and
+    ``n_from`` are as for :func:`crank_halves`."""
+    halves = _sparse_form_halves(n_max, _rank_lead, 1, pvec, n_from)
+    return halves if n_from else chain([[1]], islice(halves, 1, None))
 
 
 def _collect(stat: str, n_max: int, halves: Iterable[List[int]]) -> DistributionTable:

@@ -24,10 +24,11 @@ EQ4.4 keeps M(m, n) for its m-range as the rows go by and checks one
 column m at a time after the pass, so its violations stay m-major.  The
 same pass keeps the one-dimensional sequences the other scans read: ospt
 (from the half moments), N(0, n) and N(1, n).  :func:`verify` runs a pass
-for its one row scan; :func:`verify_suite` runs one pass for all eight,
-then the other scans, and returns the reports in ``SUITE_ORDER``.  Rows
-live one window at a time, so memory is O(N) big ints beside the family
-series, where the dense tables held O(N^2).
+for its one row scan from row n_from - 1, which keeps these sequences
+only when it starts at row 0; :func:`verify_suite` runs one pass from row
+0 for all eight, then the other scans, and returns the reports in
+``SUITE_ORDER``.  Rows live one window at a time, so memory is O(N) big
+ints beside the family series, where the dense tables held O(N^2).
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -232,27 +233,35 @@ class VerifyContext:
     def pvec(self, n_max: int) -> List[int]:
         return self._cached("pvec", n_max, statistics.partition_numbers)
 
-    def stream(self, n_max: int, scans: Sequence[_RowScan] = ()) -> _RowSums:
-        """One pass over the crank and rank rows n = 0..n_max; no table is built.
+    def stream(
+        self, n_max: int, scans: Sequence[_RowScan] = (), first: int = 0
+    ) -> Optional[_RowSums]:
+        """One pass over the crank and rank rows n = first..n_max; no table
+        is built.
 
         Each (n_from, n_to, scan) in ``scans`` is a row-scan generator: it
         is run to its first ``yield``, sent the window of rows n - 1 and n
-        for each n_from <= n <= n_to, then sent None, after which it ends.
-        The pass keeps ospt, N(0, .) and N(1, .) over 0..n_max, which serve
-        :meth:`ospt`, :meth:`rank_m0` and :meth:`rank_m1` from then on.
+        for each n_from <= n <= n_to, then sent None, after which it ends;
+        every n_from must be above ``first`` unless ``first`` is 0.  A pass
+        from row 0 keeps ospt, N(0, .) and N(1, .) over 0..n_max, which
+        serve :meth:`ospt`, :meth:`rank_m0` and :meth:`rank_m1` from then
+        on, and returns them; a pass from a later row keeps none and
+        returns None.
         """
         pvec = self.pvec(n_max)
-        sums = _RowSums([], [], [])
+        sums = _RowSums([], [], []) if first == 0 else None
         for _, _, scan in scans:
             next(scan)
         prev = (_NO_ROW, _NO_ROW)
         halves = zip(
-            statistics.crank_halves(n_max, pvec), statistics.rank_halves(n_max, pvec)
+            statistics.crank_halves(n_max, pvec, first),
+            statistics.rank_halves(n_max, pvec, first),
         )
-        for n, (c, r) in enumerate(halves):
-            sums.ospt.append(statistics.half_moment(c) - statistics.half_moment(r))
-            sums.rank_m0.append(r[0])
-            sums.rank_m1.append(r[1] if len(r) > 1 else 0)
+        for n, (c, r) in enumerate(halves, first):
+            if sums is not None:
+                sums.ospt.append(statistics.half_moment(c) - statistics.half_moment(r))
+                sums.rank_m0.append(r[0])
+                sums.rank_m1.append(r[1] if len(r) > 1 else 0)
             rows = (_Row.mirror(c), _Row.mirror(r))
             window = _Window(n, *rows, *prev)
             for n_from, n_to, scan in scans:
@@ -262,7 +271,7 @@ class VerifyContext:
         for _, _, scan in scans:
             with suppress(StopIteration):
                 scan.send(None)
-        if self._memo.get("row_sums", (-1,))[0] < n_max:
+        if sums is not None and self._memo.get("row_sums", (-1,))[0] < n_max:
             self._memo["row_sums"] = (n_max, sums)
         return sums
 
@@ -825,13 +834,13 @@ def verify(
 
     ``overrides`` may carry ``n_from`` plus any of the theorem's grid
     parameters (``k_max``, ``m_max``).  Defaults are the stated ranges.
-    A row scan gets a streamed pass of its own.
+    A row scan gets a streamed pass of its own, from row n_from - 1 on.
     """
     job = _Job.make(theorem_id, n_to, overrides)
     if ctx is None:
         ctx = VerifyContext()
     if job.spec.rows:
-        ctx.stream(n_to, [job.row_scan(ctx)])
+        ctx.stream(n_to, [job.row_scan(ctx)], first=max(job.n_from - 1, 0))
     else:
         job.start(ctx)
     return job.report()

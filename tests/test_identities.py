@@ -9,6 +9,8 @@ import pytest
 from crankq import identities
 from crankq.errors import InvalidParams, UnknownIdentity
 from crankq.identities import (
+    _GRID_HI,
+    _crank_series,
     _ip,
     _ksum_ip,
     check_identity,
@@ -18,6 +20,7 @@ from crankq.identities import (
     proof_series,
 )
 from crankq.series import TruncatedSeries, monomial
+from crankq.statistics import crank_gf
 
 ORDER = 120
 
@@ -204,11 +207,22 @@ KSUM_CASES = {
     "first past order": dict(
         k_start=1, exp_fn=lambda k: 61 + k, factors_fn=lambda k: ((1, k),)
     ),
+    # at orders 60 and 350 a factor (1 - q^k) leaves at the top coefficient
+    "leaving at the cut": dict(
+        k_start=1, exp_fn=lambda k: k + 1, factors_fn=lambda k: ((k, 1), (2, 1))
+    ),
+    "single summand": dict(
+        k_start=4, exp_fn=lambda k: 2 * k,
+        factors_fn=lambda k: ((2, k), (3, 1)), k_end=4,
+    ),
+    "k_end before the first summand": dict(
+        k_start=5, exp_fn=lambda k: k, factors_fn=lambda k: ((1, k),), k_end=4
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(KSUM_CASES))
-@pytest.mark.parametrize("order", [0, 1, 60])
+@pytest.mark.parametrize("order", [0, 1, 60, 350])
 def test_stepped_ksum_matches_per_term_products(case, order):
     got = _ksum_ip(order, **KSUM_CASES[case])
     want = _ksum_ip_per_term(order, **KSUM_CASES[case])
@@ -221,3 +235,50 @@ def test_stepped_ksum_rejects_a_bad_factor():
         _ksum_ip(60, 1, lambda k: k, lambda k: ((2, 3 - k),))
     with pytest.raises(ValueError):
         _ksum_ip(60, 1, lambda k: k, lambda k: ((0, 1),))
+    # k * k <= 60 stops at k = 7, so only the last summand is bad
+    for bad in ((0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            _ksum_ip(60, 1, lambda k: k * k, lambda k: ((2, k),) if k < 7 else (bad,))
+
+
+def _sweep_identities(order):
+    for identity_id in list_identities():
+        for params in identity_grid(identity_id):
+            check_identity(identity_id, order, **params)
+
+
+@pytest.mark.parametrize("identity_id", ["T5.3", "T5.4", "T5.5"])
+def test_cold_and_warm_crank_memo_agree(identity_id):
+    _crank_series.cache_clear()
+    cold = [check_identity(identity_id, 200, m=m) for m in (3, 7)]
+    hits = _crank_series.cache_info().hits
+    warm = [check_identity(identity_id, 200, m=m) for m in (3, 7)]
+    assert _crank_series.cache_info().hits == hits + 4  # M(m - 1) and M(m), twice
+    assert warm == cold
+    assert all(r.passed for r in cold)
+
+
+def test_crank_memo_series_stay_unchanged():
+    # no side mutates a shared series: after a full sweep each cached
+    # series still equals a fresh build
+    _crank_series.cache_clear()
+    _sweep_identities(200)
+    info = _crank_series.cache_info()
+    assert info.currsize == _GRID_HI + 1
+    for m in range(_GRID_HI + 1):
+        assert _crank_series(m, 200) == crank_gf(m, 200)
+    assert _crank_series.cache_info().hits == info.hits + _GRID_HI + 1
+
+
+def test_crank_memo_builds_each_series_once_and_stays_bounded(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        identities, "crank_gf", lambda m, order: built.append((m, order)) or crank_gf(m, order)
+    )
+    _crank_series.cache_clear()
+    for order in (40, 60):
+        _sweep_identities(order)
+        assert sorted(built) == [(m, order) for m in range(_GRID_HI + 1)]
+        assert _crank_series.cache_info().currsize <= _GRID_HI + 1
+        built.clear()
+    _crank_series.cache_clear()

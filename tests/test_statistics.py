@@ -129,6 +129,12 @@ def test_halves_are_the_right_halves_of_the_tables(n_max):
     assert crank_half(n_max) == crank_table(n_max).rows[n_max][n_max:]
 
 
+@pytest.mark.parametrize("build", [crank_halves, rank_halves])
+@pytest.mark.parametrize("n_from", [0, 1, 2, 17, 40, 41])
+def test_halves_from_a_later_row_are_the_tail(build, n_from):
+    assert list(build(40, n_from=n_from)) == list(build(40))[n_from:]
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 3, 50, 300])
 def test_streamed_ospt_matches_the_table_route(n_max):
     cranks, ranks = crank_table(n_max), rank_table(n_max)

@@ -350,6 +350,31 @@ def test_row_scan_streams_without_building_a_table(theorem_id, monkeypatch):
     assert report.passed and report.checked > 0
 
 
+@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatch):
+    built = []
+    real = statistics._sparse_form_half
+    monkeypatch.setattr(
+        statistics,
+        "_sparse_form_half",
+        lambda pvec, n, *args: built.append(n) or real(pvec, n, *args),
+    )
+    for n_from in (1, 2, 45, 90):
+        # the same scan fed by a pass over every row from 0
+        job = theorems._Job.make(theorem_id, 90, {"n_from": n_from})
+        full = VerifyContext()
+        full.stream(90, [job.row_scan(full)])
+        built.clear()
+        ctx = VerifyContext()
+        report = verify(theorem_id, 90, overrides={"n_from": n_from}, ctx=ctx)
+        assert report.as_dict() == job.report().as_dict()
+        first = max(report.n_from - 1, 0)
+        assert min(built) == first and max(built) == 90
+        # a pass that skips rows keeps no 1-D sums for the other scans
+        assert ("row_sums" in ctx._memo) == (first == 0)
+    assert ctx.ospt(90) == statistics.ospt(90)
+
+
 @pytest.mark.parametrize("n_to", [44, 45, 100, 250])
 def test_suite_matches_one_verify_per_theorem(n_to):
     suite = [r.as_dict() for r in verify_suite(n_to)]
