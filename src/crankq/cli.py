@@ -247,8 +247,8 @@ def cmd_ospt(args) -> int:
     if args.n_max < 1:
         print("error: --n-max must be >= 1", file=sys.stderr)
         return 2
+    values = statistics.ospt(args.n_max)
     pvec = statistics.partition_numbers(args.n_max)
-    values = statistics.ospt(args.n_max, pvec=pvec)
     rows = [(n, values[n], pvec[n]) for n in range(1, args.n_max + 1)]
     if args.format == "json":
         payload = [{"n": n, "ospt": o, "p": p} for n, o, p in rows]

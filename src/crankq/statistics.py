@@ -23,15 +23,26 @@ cells.  The crank's n = 1 convention row (-1, 1), (0, -1), (1, 1) falls
 out of the form without any special-casing; the rank's n = 0 row is set
 to [1] by convention.
 
-p(n) comes from Euler's pentagonal recurrence in O(n_max^1.5) additions.
-:func:`crank_gf` evaluates a different crank generating function term by
-term and serves as the independent second route for the crank table.
+The one-dimensional sequences need no row: each is a sparse or short
+numerator divided by (q)_inf in one helper, ``_divide_by_q_inf`` (Euler's
+pentagonal recurrence, O(n_max^1.5) additions), and p(n) is its case
+with numerator 1.  The forms above, weighted by m and summed over
+m >= 1, give the first positive moments (Andrews--Chan--Kim)
+
+    sum_n M+(n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(k+1)/2} / (1-q^k),
+    sum_n N+(n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(3k+1)/2} / (1-q^k),
+
+so :func:`ospt` = M+ - N+ is one division of the numerators' difference,
+and the rank column N(m, .) for one m divides the rank's own numerator
+(N(0, 0) = 1 by convention).  :func:`crank_gf` evaluates a different
+crank generating function term by term: it gives M(0, .) and is the
+independent second route for the crank table.
 """
 
 from __future__ import annotations
 
-from itertools import chain, count, islice
-from operator import add, mul, sub
+from itertools import chain, islice
+from operator import add, sub
 from typing import Callable, Iterable, Iterator, List
 
 from .series import TruncatedSeries, geom_divide, inv_pochhammer, vec_add
@@ -115,7 +126,10 @@ def _sparse_form_halves(
     n_from: int,
 ) -> Iterator[List[int]]:
     """:func:`_sparse_form_half` for n = n_from..n_max, made as they are
-    read; p(0..n_max), and so the n_max check, comes at call time."""
+    read; p(0..n_max), and so the n_max and n_from checks, come at call
+    time."""
+    if n_from < 0:
+        raise ValueError("n_from must be nonnegative")
     pvec = _p_upto(n_max, pvec)
     return (
         _sparse_form_half(pvec, n, lead, m_lag) for n in range(n_from, n_max + 1)
@@ -168,30 +182,63 @@ def rank_table(n_max: int) -> DistributionTable:
     return _collect("rank", n_max, rank_halves(n_max))
 
 
-def partition_numbers(n_max: int) -> List[int]:
-    """p(0..n_max) by Euler's pentagonal recurrence
+def _divide_by_q_inf(c: List[int]) -> List[int]:
+    """c / (q)_inf, cut to len(c) coefficients, in place, by Euler's
+    pentagonal recurrence: f = c / (q)_inf has
 
-        p(n) = sum_{k>=1} (-1)^{k-1} (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)),
+        f(n) = c(n) + sum_{k>=1} (-1)^{k-1} (f(n - k(3k-1)/2) + f(n - k(3k+1)/2)),
 
-    with p(n) = 0 for n < 0."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    p = [1] + [0] * n_max
+    with f(n) = 0 for n < 0.  Returns c."""
     # the generalized pentagonal numbers in increasing order; their signs
     # run +, +, -, -, +, +, ...
     pent: List[int] = []
     k = 1
-    while (g := k * (3 * k - 1) // 2) <= n_max:
+    while (g := k * (3 * k - 1) // 2) < len(c):
         pent += [g, g + k]
         k += 1
-    for n in range(1, n_max + 1):
-        total = 0
+    for n in range(1, len(c)):
+        total = c[n]
         for i, g in enumerate(pent):
             if g > n:
                 break
-            total += p[n - g] if i & 2 == 0 else -p[n - g]
-        p[n] = total
-    return p
+            total += c[n - g] if i & 2 == 0 else -c[n - g]
+        c[n] = total
+    return c
+
+
+def partition_numbers(n_max: int) -> List[int]:
+    """p(0..n_max): 1 / (q)_inf."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    return _divide_by_q_inf([1] + [0] * n_max)
+
+
+def _rank_column(m: int, n_max: int) -> List[int]:
+    """N(m, 0..n_max) for one m >= 0, from the Atkin--Swinnerton-Dyer form;
+    N(0, 0) = 1, the empty partition."""
+    c = [0] * (n_max + 1)
+    k = 1
+    while (e := _rank_lead(k) + m * k) <= n_max:
+        sign = 1 if k % 2 else -1
+        c[e] += sign
+        if e + k <= n_max:
+            c[e + k] -= sign
+        k += 1
+    _divide_by_q_inf(c)
+    if m == 0:
+        c[0] = 1
+    return c
+
+
+def _add_moment_numerator(c: List[int], lead: Callable[[int], int], sign: int) -> None:
+    """Add sign * sum_{k>=1} (-1)^{k-1} q^{lead(k)+k} / (1 - q^k) to c, in
+    place: over (q)_inf, the first positive moment sum_{m>=1} m counts(m, n)
+    of the sparse form with this ``lead``."""
+    k = 1
+    while (e := lead(k) + k) < len(c):
+        s = sign if k % 2 else -sign
+        c[e::k] = [x + s for x in c[e::k]]
+        k += 1
 
 
 def positive_moment(table: DistributionTable, n: int) -> int:
@@ -200,16 +247,6 @@ def positive_moment(table: DistributionTable, n: int) -> int:
     row = table.rows[n]
     start = max(1 - lo, 0)
     return sum((lo + i) * c for i, c in enumerate(row[start:], start=start))
-
-
-def half_moment(half: List[int]) -> int:
-    """sum_{m >= 1} m * half[m]."""
-    return sum(map(mul, count(1), half[1:]))
-
-
-def _table_halves(table: DistributionTable) -> Iterator[List[int]]:
-    """The right half (m >= 0) of each row of a symmetric table."""
-    return (row[len(row) // 2 :] for row in table.rows)
 
 
 def ospt(
@@ -221,24 +258,27 @@ def ospt(
     """ospt(n) for 1 <= n <= n_max: first positive crank moment minus first
     positive rank moment.  Index 0 of the result is 0 by convention.
 
-    Precomputed tables covering n_max may be passed to avoid rebuilding;
-    a statistic with no table passed is read off its streamed halves, and
-    no table is built for it.  The streamed halves share one p(0..n_max),
-    taken from ``pvec`` when it is passed.
+    Precomputed tables covering n_max may be passed to avoid rebuilding; a
+    statistic with no table passed adds its positive-moment numerator, and
+    the sum is divided by (q)_inf once, so no row is made for it.  No
+    route reads p(n); a ``pvec`` passed is still checked to cover n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if any(t is not None and t.n_max < n_max for t in (cranks, ranks)):
         raise ValueError("supplied tables do not cover n_max")
-    if cranks is None or ranks is None:
-        pvec = _p_upto(n_max, pvec)
-    c_halves = crank_halves(n_max, pvec) if cranks is None else _table_halves(cranks)
-    r_halves = rank_halves(n_max, pvec) if ranks is None else _table_halves(ranks)
-    # row 0 of both is [1], whose positive moment is 0
-    return [
-        half_moment(c) - half_moment(r)
-        for c, r in islice(zip(c_halves, r_halves), n_max + 1)
-    ]
+    if pvec is not None:
+        _p_upto(n_max, pvec)
+    out = [0] * (n_max + 1)
+    for table, lead, sign in ((cranks, _crank_lead, 1), (ranks, _rank_lead, -1)):
+        if table is None:
+            _add_moment_numerator(out, lead, sign)
+    _divide_by_q_inf(out)
+    for table, sign in ((cranks, 1), (ranks, -1)):
+        if table is not None:
+            for n in range(1, n_max + 1):
+                out[n] += sign * positive_moment(table, n)
+    return out
 
 
 __all__ = [

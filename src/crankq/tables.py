@@ -3,9 +3,8 @@
 A table holds, for each n up to ``n_max``, the counts of a statistic over
 its full m-range: [-n, n] for the crank, [-(n-1), n-1] for the rank (row 0
 is the empty-partition row {0: 1} for both).  Counts outside the stored
-range are zero by construction; :meth:`DistributionTable.get` (one cell),
-:meth:`DistributionTable.row_slice` (a run of cells in one row) and
-:meth:`DistributionTable.column_slice` (one m over a run of rows) say so.
+range are zero by construction; :meth:`DistributionTable.get` (one cell)
+and :meth:`DistributionTable.row_slice` (a run of cells in one row) say so.
 :func:`slice_row` is the zero-padded read of a single row, table or not.
 """
 
@@ -57,18 +56,6 @@ class DistributionTable:
         if n > self.n_max:
             raise IndexError(f"n={n} beyond table n_max={self.n_max}")
         return slice_row(self.rows[n], self.min_m[n], m_lo, m_hi)
-
-    def column_slice(self, m: int, n_lo: int, n_hi: int) -> List[int]:
-        """The counts at (m, n) for n_lo <= n < n_hi, as a new list; zero
-        outside the stored m-range or for n < 0, empty when n_hi <= n_lo."""
-        if n_hi > max(n_lo, self.n_max + 1):
-            raise IndexError(f"n={n_hi - 1} beyond table n_max={self.n_max}")
-        out = [0] * max(min(n_hi, 0) - n_lo, 0)
-        for n in range(max(n_lo, 0), n_hi):
-            idx = m - self.min_m[n]
-            row = self.rows[n]
-            out.append(row[idx] if 0 <= idx < len(row) else 0)
-        return out
 
     def m_range(self, n: int) -> range:
         lo = self.min_m[n]

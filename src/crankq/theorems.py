@@ -21,14 +21,17 @@ scan reads a row with ``_Row.slice`` (zero-padded like
 both operand lists to ``_Recorder.check_rows``, which sends every point
 through ``_holds`` in order but builds a point dict only for a violation.
 EQ4.4 keeps M(m, n) for its m-range as the rows go by and checks one
-column m at a time after the pass, so its violations stay m-major.  The
-same pass keeps the one-dimensional sequences the other scans read: ospt
-(from the half moments), N(0, n) and N(1, n).  :func:`verify` runs a pass
-for its one row scan from row n_from - 1, which keeps these sequences
-only when it starts at row 0; :func:`verify_suite` runs one pass from row
-0 for all eight, then the other scans, and returns the reports in
-``SUITE_ORDER``.  Rows live one window at a time, so memory is O(N) big
-ints beside the family series, where the dense tables held O(N^2).
+column m at a time after the pass, so its violations stay m-major.
+:func:`verify` runs a pass for its one row scan from row n_from - 1;
+:func:`verify_suite` runs one pass from row 0 for all eight, then the
+other scans, and returns the reports in ``SUITE_ORDER``.  Rows live one
+window at a time, so memory is O(N) big ints beside the family series,
+where the dense tables held O(N^2).
+
+The one-dimensional scans (THM1.3a/b/c, THM1.9, EQ9.12, CONJ1.4) read
+only p, ospt, N(0, .), N(1, .) and M(0, .), each built by its own route
+in :mod:`crankq.statistics` and cached by :class:`VerifyContext`; no row
+is made for them.
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -49,7 +52,7 @@ from typing import (
 from . import families, statistics
 from .errors import RangeError, UnknownTheorem
 from .series import geom_divide, vec_add, vec_sub
-from .tables import CumulativeTable, DistributionTable, cumulative, slice_row
+from .tables import slice_row
 
 
 def _holds(lhs: int, op: str, rhs: int) -> bool:
@@ -167,14 +170,6 @@ class _Window(NamedTuple):
     rank_prev: _Row
 
 
-class _RowSums(NamedTuple):
-    """The one-dimensional sequences a streamed pass keeps, indexed by n."""
-
-    ospt: List[int]
-    rank_m0: List[int]  # N(0, n)
-    rank_m1: List[int]  # N(1, n)
-
-
 # A row scan as VerifyContext.stream takes it: (n_from, n_to, generator).
 _RowScan = Tuple[int, int, Generator[None, Optional[_Window], None]]
 
@@ -196,13 +191,13 @@ def _times_q_pow(c: List[int], e: int, order: int) -> List[int]:
 
 
 class VerifyContext:
-    """Caches the sequences and series shared by the theorem scans.
+    """Caches the sequences and series shared by the theorem scans, and
+    feeds the row scans their rows (:meth:`stream`); it serves no dense
+    table.
 
     Each entry keeps the largest object built so far, under the n it was
     built for; requests covered by it are served from the cache, larger
-    requests replace it.  The dense tables (:meth:`cranks`, :meth:`ranks`
-    and their cumulative sums) are served for callers and cross-checks;
-    no scan reads them.
+    requests replace it.
     """
 
     def __init__(self):
@@ -214,42 +209,21 @@ class VerifyContext:
             entry = self._memo[key] = (n_max, build(n_max))
         return entry[1]
 
-    def cranks(self, n_max: int) -> DistributionTable:
-        return self._cached("cranks", n_max, statistics.crank_table)
-
-    def ranks(self, n_max: int) -> DistributionTable:
-        return self._cached("ranks", n_max, statistics.rank_table)
-
-    # the cumulative entries are keyed on their table's n_max, so a table
-    # rebuilt for a larger n is summed again on the next request
-    def crank_cum(self, n_max: int) -> CumulativeTable:
-        t = self.cranks(n_max)
-        return self._cached("crank_cum", t.n_max, lambda _: cumulative(t))
-
-    def rank_cum(self, n_max: int) -> CumulativeTable:
-        t = self.ranks(n_max)
-        return self._cached("rank_cum", t.n_max, lambda _: cumulative(t))
-
     def pvec(self, n_max: int) -> List[int]:
         return self._cached("pvec", n_max, statistics.partition_numbers)
 
     def stream(
-        self, n_max: int, scans: Sequence[_RowScan] = (), first: int = 0
-    ) -> Optional[_RowSums]:
+        self, n_max: int, scans: Sequence[_RowScan], first: int = 0
+    ) -> None:
         """One pass over the crank and rank rows n = first..n_max; no table
         is built.
 
         Each (n_from, n_to, scan) in ``scans`` is a row-scan generator: it
         is run to its first ``yield``, sent the window of rows n - 1 and n
         for each n_from <= n <= n_to, then sent None, after which it ends;
-        every n_from must be above ``first`` unless ``first`` is 0.  A pass
-        from row 0 keeps ospt, N(0, .) and N(1, .) over 0..n_max, which
-        serve :meth:`ospt`, :meth:`rank_m0` and :meth:`rank_m1` from then
-        on, and returns them; a pass from a later row keeps none and
-        returns None.
+        every n_from must be above ``first`` unless ``first`` is 0.
         """
         pvec = self.pvec(n_max)
-        sums = _RowSums([], [], []) if first == 0 else None
         for _, _, scan in scans:
             next(scan)
         prev = (_NO_ROW, _NO_ROW)
@@ -258,10 +232,6 @@ class VerifyContext:
             statistics.rank_halves(n_max, pvec, first),
         )
         for n, (c, r) in enumerate(halves, first):
-            if sums is not None:
-                sums.ospt.append(statistics.half_moment(c) - statistics.half_moment(r))
-                sums.rank_m0.append(r[0])
-                sums.rank_m1.append(r[1] if len(r) > 1 else 0)
             rows = (_Row.mirror(c), _Row.mirror(r))
             window = _Window(n, *rows, *prev)
             for n_from, n_to, scan in scans:
@@ -271,25 +241,18 @@ class VerifyContext:
         for _, _, scan in scans:
             with suppress(StopIteration):
                 scan.send(None)
-        if sums is not None and self._memo.get("row_sums", (-1,))[0] < n_max:
-            self._memo["row_sums"] = (n_max, sums)
-        return sums
-
-    def _row_sums(self, n_max: int) -> _RowSums:
-        entry = self._memo.get("row_sums")
-        return entry[1] if entry and entry[0] >= n_max else self.stream(n_max)
 
     def ospt(self, n_max: int) -> List[int]:
-        """ospt(0..n_max), from the half moments of the streamed rows."""
-        return self._row_sums(n_max).ospt
+        """ospt(0..n_max) (n_max >= 1), without a row."""
+        return self._cached("ospt", n_max, statistics.ospt)
 
     def rank_m0(self, n_max: int) -> List[int]:
-        """N(0, 0..n_max), from the streamed rows."""
-        return self._row_sums(n_max).rank_m0
+        """N(0, 0..n_max) without a row."""
+        return self._cached("rank_m0", n_max, lambda n: statistics._rank_column(0, n))
 
     def rank_m1(self, n_max: int) -> List[int]:
-        """N(1, 0..n_max), from the streamed rows."""
-        return self._row_sums(n_max).rank_m1
+        """N(1, 0..n_max) without a row."""
+        return self._cached("rank_m1", n_max, lambda n: statistics._rank_column(1, n))
 
     def crank_m0(self, n_max: int) -> List[int]:
         """M(0, 0..n_max) without building the full table."""

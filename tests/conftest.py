@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from crankq.statistics import crank_table, rank_table
 from crankq.theorems import VerifyContext
 
 
@@ -13,13 +14,13 @@ def ctx() -> VerifyContext:
 
 
 @pytest.fixture(scope="session")
-def cranks500(ctx):
-    return ctx.cranks(500)
+def cranks500():
+    return crank_table(500)
 
 
 @pytest.fixture(scope="session")
-def ranks500(ctx):
-    return ctx.ranks(500)
+def ranks500():
+    return rank_table(500)
 
 
 @pytest.fixture(scope="session")

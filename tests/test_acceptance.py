@@ -61,7 +61,7 @@ def test_criterion_04_crank_monotone_in_n(ctx):
 def test_criterion_05_unimodality(ctx):
     r1 = verify("THM1.7", 300, ctx=ctx)
     r2 = verify("COR1.8", 300, ctx=ctx)
-    table = ctx.cranks(300)
+    table = crank_table(300)
     row = [(m, table.get(m, 44)) for m in range(-43, 44)]
     counts = [c for _, c in row]
     peak_at_zero = table.get(0, 44) == max(counts)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import operator
 import tracemalloc
 
@@ -18,7 +19,7 @@ from crankq.theorems import (
     verify,
     verify_suite,
 )
-from crankq.tables import CumulativeTable, DistributionTable
+from crankq.tables import CumulativeTable, DistributionTable, cumulative
 
 
 @pytest.mark.parametrize("theorem_id", SUITE_ORDER)
@@ -93,13 +94,21 @@ def test_eq_4_4_reports_violations_m_major(monkeypatch, ctx):
 _OPS = {">=": operator.ge, "<=": operator.le}
 
 
+@functools.lru_cache(maxsize=None)
+def _tables(n_max):
+    """The dense crank and rank tables to n_max and their cumulative sums,
+    (cranks, ranks, crank_cum, rank_cum), built once per n_max."""
+    cranks, ranks = statistics.crank_table(n_max), statistics.rank_table(n_max)
+    return cranks, ranks, cumulative(cranks), cumulative(ranks)
+
+
 def _reference_comparisons(theorem_id, ctx, n_from, n_to):
     """(point, lhs, op, rhs) of every comparison for n_from <= n <= n_to,
     read one cell at a time with get and le, in the order the theorem's
     scan makes them."""
     if theorem_id == "EQ4.4":
         # m-major: down the n-axis one m at a time
-        cranks = ctx.cranks(n_to)
+        cranks = _tables(n_to)[0]
         for m in range(2, REGISTRY["EQ4.4"].defaults["m_max"] + 1):
             d, p = ctx.fam("d", m, n_to), ctx.fam("p", m + 1, n_to)
             for n in range(n_from, n_to + 1):
@@ -110,11 +119,11 @@ def _reference_comparisons(theorem_id, ctx, n_from, n_to):
                 yield point, cranks.get(m, n) - cranks.get(m, n - 1), ">=", rhs
         return
     for n in range(n_from, n_to + 1):
-        yield from _reference_row(theorem_id, ctx, n, n_to)
+        yield from _reference_row(theorem_id, n, n_to)
 
 
-def _reference_row(theorem_id, ctx, n, n_to):
-    ranks, cranks = ctx.ranks(n_to), ctx.cranks(n_to)
+def _reference_row(theorem_id, n, n_to):
+    cranks, ranks, mc, nc = _tables(n_to)
     if theorem_id == "THM1.1":
         for m in [*range(0, max(n - 2, 0)), n - 1]:
             yield {"n": n, "m": m}, ranks.get(m, n), ">=", ranks.get(m, n - 1)
@@ -138,11 +147,9 @@ def _reference_row(theorem_id, ctx, n, n_to):
             point = {"n": n, "m": m, "form": "mirror"}
             yield point, cranks.get(m - 1, n), ">=", cranks.get(m, n)
     elif theorem_id == "EQ9.5":
-        mc, nc = ctx.crank_cum(n_to), ctx.rank_cum(n_to)
         for m in range(-n, 1):
             yield {"n": n, "m": m}, mc.le(m, n), "<=", nc.le(m + 1, n)
     elif theorem_id == "EQ9.6":
-        mc, nc = ctx.crank_cum(n_to), ctx.rank_cum(n_to)
         for m in range(0, n + 1):
             yield {"n": n, "m": m}, nc.le(m - 1, n), "<=", mc.le(m, n)
 
@@ -220,10 +227,10 @@ def test_unimodality_formulations_agree(ctx):
     assert window_n == mirror_n  # same exceptional rows under both readings
 
 
-def test_thm_1_1_gap_point_really_fails(ctx):
+def test_thm_1_1_gap_point_really_fails():
     # m = n - 2 is excluded from the scan because it genuinely drops:
     # no partition of n has rank n - 2, while (n - 1) alone has it at n - 1
-    t = ctx.ranks(60)
+    t = _tables(60)[1]
     for n in (12, 25, 60):
         assert t.get(n - 2, n) == 0
         assert t.get(n - 2, n - 1) == 1
@@ -290,29 +297,14 @@ def test_registry_order_and_bases():
 
 def test_context_serves_smaller_requests_from_cache():
     ctx = VerifyContext()
-    assert ctx.cranks(20) is ctx.cranks(12)
-    assert ctx.ranks(20) is ctx.ranks(12)
-    assert ctx.crank_cum(20) is ctx.crank_cum(12)
-    assert ctx.rank_cum(20) is ctx.rank_cum(12)
     assert ctx.pvec(20) is ctx.pvec(12)
     assert ctx.ospt(20) is ctx.ospt(12)
+    assert ctx.rank_m0(20) is ctx.rank_m0(12)
+    assert ctx.rank_m1(20) is ctx.rank_m1(12)
     assert ctx.crank_m0(20) is ctx.crank_m0(12)
     assert ctx.fam("d", 5, 20) is ctx.fam("d", 5, 12)
     assert ctx.fam("d", 5, 20) is not ctx.fam("d", 6, 20)
-    assert ctx.cranks(30).n_max == 30  # a larger request rebuilds
-
-
-def test_cumulative_follows_a_rebuilt_table():
-    ctx = VerifyContext()
-    assert ctx.crank_cum(50).n_max == 50
-    ctx.cranks(80)
-    assert ctx.crank_cum(70).n_max == 80
-    ctx = VerifyContext()
-    small = ctx.rank_cum(50)
-    ctx.ranks(80)
-    # the covered request still sums the rebuilt table again
-    assert ctx.rank_cum(40).n_max == 80
-    assert ctx.rank_cum(40) is not small
+    assert len(ctx.ospt(30)) == 31  # a larger request rebuilds
 
 
 def _no_tables(monkeypatch):
@@ -320,7 +312,7 @@ def _no_tables(monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("a verify call built a dense table")
 
-    for owner in (statistics, tables, theorems):
+    for owner in (statistics, tables):
         monkeypatch.setattr(owner, "cumulative", no_table)
     monkeypatch.setattr(statistics, "crank_table", no_table)
     monkeypatch.setattr(statistics, "rank_table", no_table)
@@ -370,8 +362,6 @@ def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatc
         assert report.as_dict() == job.report().as_dict()
         first = max(report.n_from - 1, 0)
         assert min(built) == first and max(built) == 90
-        # a pass that skips rows keeps no 1-D sums for the other scans
-        assert ("row_sums" in ctx._memo) == (first == 0)
     assert ctx.ospt(90) == statistics.ospt(90)
 
 
@@ -381,15 +371,56 @@ def test_suite_matches_one_verify_per_theorem(n_to):
     assert suite == [verify(tid, n_to).as_dict() for tid in SUITE_ORDER]
 
 
-def test_streamed_sequences_match_the_tables(ctx):
+def test_one_dimensional_sequences_match_the_tables():
     n_max = 120
-    cranks, ranks = ctx.cranks(n_max), ctx.ranks(n_max)
-    fresh = VerifyContext()
-    assert fresh.ospt(n_max) == statistics.ospt(n_max, cranks=cranks, ranks=ranks)
-    assert fresh.rank_m0(n_max) == [ranks.get(0, n) for n in range(n_max + 1)]
-    assert fresh.rank_m1(n_max) == [ranks.get(1, n) for n in range(n_max + 1)]
-    # a covered request is served from the same pass
+    cranks, ranks = _tables(n_max)[:2]
+    want = (
+        statistics.ospt(n_max, cranks=cranks, ranks=ranks),
+        [ranks.get(0, n) for n in range(n_max + 1)],
+        [ranks.get(1, n) for n in range(n_max + 1)],
+    )
+    # built for each n on its own too, so every top coefficient is checked
+    for n in range(1, n_max + 1):
+        fresh = VerifyContext()
+        got = fresh.ospt(n), fresh.rank_m0(n), fresh.rank_m1(n)
+        assert got == tuple(w[: n + 1] for w in want), n
+    # a covered request is served from the same entry
     assert fresh.rank_m1(40) is fresh.rank_m1(n_max)
+
+
+def test_one_dimensional_routes_match_one_streamed_pass():
+    # the streamed halves are the independent reference: the first positive
+    # moments and the columns m = 0, 1 read off one pass, for every n <= N
+    n_max = 3000
+    ctx = VerifyContext()
+    pvec = ctx.pvec(n_max)
+
+    def moment(half):
+        return sum(m * c for m, c in enumerate(half))
+
+    o, n0, n1 = [], [], []
+    for c, r in zip(
+        statistics.crank_halves(n_max, pvec), statistics.rank_halves(n_max, pvec)
+    ):
+        o.append(moment(c) - moment(r))
+        n0.append(r[0])
+        n1.append(r[1] if len(r) > 1 else 0)
+    assert ctx.ospt(n_max) == o
+    assert ctx.rank_m0(n_max) == n0
+    assert ctx.rank_m1(n_max) == n1
+
+
+ONE_DIM_SCANS = ("THM1.3a", "THM1.3b", "THM1.3c", "THM1.9", "EQ9.12", "CONJ1.4")
+
+
+@pytest.mark.parametrize("theorem_id", ONE_DIM_SCANS)
+def test_one_dimensional_scans_make_no_row(theorem_id, monkeypatch):
+    def no_row(*args):
+        raise AssertionError(f"{theorem_id} made a crank or rank row")
+
+    monkeypatch.setattr(statistics, "_sparse_form_half", no_row)
+    report = verify(theorem_id, 300, ctx=VerifyContext())
+    assert report.passed and report.checked > 0
 
 
 _LADDER_ORDERS = (0, 1, 2, 7, 60, 300)
