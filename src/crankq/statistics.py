@@ -13,9 +13,11 @@ the right half (m >= 0) of row n is
     a = n - lead(k),
 
 so each k-term adds the strided reverse slice p(a), p(a-k), p(a-2k), ...
-to one running list, whose first differences are the half.
+to one running list, the tail sums acc[m] = sum_{j>=m} counts(j,n), whose
+first differences are the half.
 :func:`crank_halves` and :func:`rank_halves` yield these halves one row at
-a time (:func:`crank_half` makes one crank row alone): row n costs
+a time (:func:`crank_half` makes one crank row alone), and the theorem
+scans' streamed pass reads each half with its tail sums: row n costs
 O(n log n) exact big-int additions and O(n) memory beside the p(n)
 vector, and only :func:`crank_table` and
 :func:`rank_table`, which collect the mirrored rows, hold O(n_max^2)
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, List
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from .series import TruncatedSeries, geom_divide, inv_pochhammer, vec_add
 from .tables import CumulativeTable, DistributionTable, cumulative
@@ -87,24 +89,28 @@ def _rank_lead(k: int) -> int:
     return k * (3 * k - 1) // 2
 
 
+_Row = Tuple[List[int], List[int]]  # (half, tails) of one row
+
+
 def _sparse_form_half(
     pvec: List[int], n: int, lead: Callable[[int], int], m_lag: int
-) -> List[int]:
-    """counts(m,n) for 0 <= m <= max(n - m_lag, 0) as a new list, from
-    p(0..n) in ``pvec``, where for m >= 0
+) -> _Row:
+    """(half, tails) of row n, from p(0..n) in ``pvec``: half[m] =
+    counts(m,n) and tails[m] = sum_{j>=m} counts(j,n) for
+    0 <= m <= max(n - m_lag, 0), as new lists, where for m >= 0
 
         sum_n counts(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{lead(k)+mk} (1-q^k);
 
     ``lead`` must be increasing with lead(1) = m_lag, so the k = 1 slice
     spans the whole half."""
-    # acc[m] = sum_k (-1)^{k-1} p(a - mk); half[m] = acc[m] - acc[m + 1]
-    acc = [0] * (max(n - m_lag, 0) + 1)
+    # tails[m] = sum_k (-1)^{k-1} p(a - mk); half[m] = tails[m] - tails[m + 1]
+    tails = [0] * (max(n - m_lag, 0) + 1)
     k = 1
     while (a := n - lead(k)) >= 0:
         s = pvec[a::-k]  # p(a - mk) for m = 0, 1, ..., a // k
-        acc[: len(s)] = map(add if k % 2 else sub, acc, s)
+        tails[: len(s)] = map(add if k % 2 else sub, tails, s)
         k += 1
-    return [*map(sub, acc, acc[1:]), acc[-1]]
+    return [*map(sub, tails, tails[1:]), tails[-1]], tails
 
 
 def _p_upto(n_max: int, pvec: List[int] | None) -> List[int]:
@@ -118,13 +124,13 @@ def _p_upto(n_max: int, pvec: List[int] | None) -> List[int]:
     return pvec
 
 
-def _sparse_form_halves(
+def _sparse_form_rows(
     n_max: int,
     lead: Callable[[int], int],
     m_lag: int,
     pvec: List[int] | None,
     n_from: int,
-) -> Iterator[List[int]]:
+) -> Iterator[_Row]:
     """:func:`_sparse_form_half` for n = n_from..n_max, made as they are
     read; p(0..n_max), and so the n_max and n_from checks, come at call
     time."""
@@ -136,18 +142,32 @@ def _sparse_form_halves(
     )
 
 
+def _crank_rows(n_max: int, pvec: List[int] | None, n_from: int) -> Iterator[_Row]:
+    """(half, tails) of the crank rows n = n_from..n_max, from Garvan's
+    form with lead(k) = k(k-1)/2."""
+    return _sparse_form_rows(n_max, _crank_lead, 0, pvec, n_from)
+
+
+def _rank_rows(n_max: int, pvec: List[int] | None, n_from: int) -> Iterator[_Row]:
+    """(half, tails) of the rank rows n = n_from..n_max, from the
+    Atkin--Swinnerton-Dyer form with lead(k) = k(3k-1)/2; row 0 is
+    ([1], [1]), the empty partition."""
+    rows = _sparse_form_rows(n_max, _rank_lead, 1, pvec, n_from)
+    return rows if n_from else chain([([1], [1])], islice(rows, 1, None))
+
+
 def crank_halves(
     n_max: int, pvec: List[int] | None = None, n_from: int = 0
 ) -> Iterator[List[int]]:
     """M(m,n) for 0 <= m <= n, one list per n = n_from..n_max (n_from >= 0),
     made as they are read, from Garvan's form with lead(k) = k(k-1)/2.
     ``pvec`` may pass p(0..n_max) (or more) to spare computing it again."""
-    return _sparse_form_halves(n_max, _crank_lead, 0, pvec, n_from)
+    return (half for half, _ in _crank_rows(n_max, pvec, n_from))
 
 
 def crank_half(n: int) -> List[int]:
     """M(m,n) for 0 <= m <= n, row n of :func:`crank_halves` alone."""
-    return _sparse_form_half(partition_numbers(n), n, _crank_lead, 0)
+    return _sparse_form_half(partition_numbers(n), n, _crank_lead, 0)[0]
 
 
 def rank_halves(
@@ -157,8 +177,7 @@ def rank_halves(
     made as they are read, from the Atkin--Swinnerton-Dyer form with
     lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition.  ``pvec`` and
     ``n_from`` are as for :func:`crank_halves`."""
-    halves = _sparse_form_halves(n_max, _rank_lead, 1, pvec, n_from)
-    return halves if n_from else chain([[1]], islice(halves, 1, None))
+    return (half for half, _ in _rank_rows(n_max, pvec, n_from))
 
 
 def _collect(stat: str, n_max: int, halves: Iterable[List[int]]) -> DistributionTable:

@@ -8,30 +8,41 @@ widen it (e.g. to locate the empirical threshold) or narrow it.  Every
 comparison is exact integer arithmetic; rational bounds are
 cross-multiplied, never floated.
 
+Every comparison goes through one funnel, ``_holds_rows(lhs_seq, op,
+rhs_seq)``, which compares two equal-length sequences at once and returns
+the positions where the comparison fails.  ``_Recorder.check_rows`` sends
+a whole run of points through it and builds a point dict and a
+:class:`Violation` only at a failing position; ``_Recorder.check_clauses``
+does so for clauses that share one index (``n``) and reports their
+violations in the order of the per-point loop that checks them in turn;
+``_Recorder.check`` sends one point, as a run of length one.
+
 The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8, EQ4.4,
 EQ9.5, EQ9.6) build no table.  Each is a generator, fed by one streamed
-pass, :meth:`VerifyContext.stream`: the pass makes the right halves of
-the crank and rank rows n = 0, 1, ... from one p(0..N)
-(:func:`~crankq.statistics.crank_halves`,
-:func:`~crankq.statistics.rank_halves`), mirrors them, and sends each scan
-the window of rows n - 1 and n for every n in its range, then None.  A
-scan reads a row with ``_Row.slice`` (zero-padded like
-:meth:`~crankq.tables.DistributionTable.row_slice`), prefix-sums it with
-``itertools.accumulate`` where the statement is cumulative, and hands
-both operand lists to ``_Recorder.check_rows``, which sends every point
-through ``_holds`` in order but builds a point dict only for a violation.
-EQ4.4 keeps M(m, n) for its m-range as the rows go by and checks one
-column m at a time after the pass, so its violations stay m-major.
-:func:`verify` runs a pass for its one row scan from row n_from - 1;
-:func:`verify_suite` runs one pass from row 0 for all eight, then the
-other scans, and returns the reports in ``SUITE_ORDER``.  Rows live one
-window at a time, so memory is O(N) big ints beside the family series,
-where the dense tables held O(N^2).
+pass, :meth:`VerifyContext.stream`: the pass makes the right halves
+(m >= 0) of the crank and rank rows n = 0, 1, ... from one p(0..N),
+together with their tail sums tails[m] = sum_{j >= m} counts(j, n) that
+the sparse forms in :mod:`crankq.statistics` compute on the way, and sends
+each scan a :class:`_Window` (p(n), rows n and n - 1) for every n in its
+range, then None.  No row is mirrored: by symmetry a scan reads M(m, n) at
+m < 0 as M(-m, n), and the cumulative scans EQ9.5 and EQ9.6 read
+le(m, n) as tails[-m] for m <= 0 and as p(n) - tails[m + 1] for m >= 0,
+with no prefix sum.  THM1.7 and all three point sets of COR1.8 (both
+halves of the window and the mirror) are the row's descents
+M(m, n) >= M(m + 1, n); the window compares them once, and each scan maps
+the failing positions back to its own m in its own order.  EQ4.4 keeps
+M(m, n) for its m-range as the rows go by and checks one column m at a
+time after the pass, so its violations stay m-major.  :func:`verify` runs
+a pass for its one row scan from row n_from - 1; :func:`verify_suite` runs
+one pass from row 0 for all eight, then the other scans, and returns the
+reports in ``SUITE_ORDER``.  Rows live one window at a time, so memory is
+O(N) big ints beside the family series, where the dense tables held
+O(N^2).
 
-The one-dimensional scans (THM1.3a/b/c, THM1.9, EQ9.12, CONJ1.4) read
-only p, ospt, N(0, .), N(1, .) and M(0, .), each built by its own route
-in :mod:`crankq.statistics` and cached by :class:`VerifyContext`; no row
-is made for them.
+The one-dimensional scans read only p, ospt, N(0, .), N(1, .), M(0, .)
+and the family series, each built by its own route and cached by
+:class:`VerifyContext`; no row is made for them.  Each compares whole runs
+of n per clause (and per k) through the funnel.
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -40,13 +51,13 @@ acceptance suite.
 from __future__ import annotations
 
 import inspect
+import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import cached_property
 from operator import sub
 from typing import (
-    Any, Callable, Dict, Generator, Hashable, List, NamedTuple, Optional, Sequence,
-    Tuple,
+    Any, Callable, Dict, Generator, Hashable, List, Optional, Sequence, Tuple,
 )
 
 from . import families, statistics
@@ -55,20 +66,30 @@ from .series import geom_divide, vec_add, vec_sub
 from .tables import slice_row
 
 
-def _holds(lhs: int, op: str, rhs: int) -> bool:
-    # single comparison funnel; tests falsify this to prove the harness
-    # cannot pass vacuously
-    if op == ">=":
-        return lhs >= rhs
-    if op == ">":
-        return lhs > rhs
-    if op == "<=":
-        return lhs <= rhs
-    if op == "<":
-        return lhs < rhs
-    if op == "==":
-        return lhs == rhs
-    raise ValueError(f"unknown comparison {op!r}")
+_COMPARE: Dict[str, Callable[[int, int], bool]] = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "<": operator.lt,
+    "==": operator.eq,
+}
+
+
+def _holds_rows(lhs_seq: Sequence[int], op: str, rhs_seq: Sequence[int]) -> List[int]:
+    """The positions i at which lhs_seq[i] op rhs_seq[i] fails, in order.
+
+    The single comparison funnel: every check of every scan goes through
+    it, and tests falsify it to prove the harness cannot pass vacuously."""
+    compare = _COMPARE.get(op)
+    if compare is None:
+        raise ValueError(f"unknown comparison {op!r}")
+    if len(lhs_seq) != len(rhs_seq):
+        raise ValueError(
+            f"{len(lhs_seq)} left operands against {len(rhs_seq)} right ones"
+        )
+    if all(map(compare, lhs_seq, rhs_seq)):
+        return []
+    return [i for i, ok in enumerate(map(compare, lhs_seq, rhs_seq)) if not ok]
 
 
 @dataclass(frozen=True)
@@ -115,6 +136,11 @@ class VerificationReport:
 
 
 class _Recorder:
+    """One scan's record: the number of points checked and a
+    :class:`Violation` for each point that failed, in scan order.  Every
+    comparison goes through :func:`_holds_rows`; a point dict is built only
+    where it reports a failure."""
+
     __slots__ = ("checked", "violations")
 
     def __init__(self):
@@ -122,8 +148,9 @@ class _Recorder:
         self.violations: List[Violation] = []
 
     def check(self, point: Dict[str, object], lhs: int, op: str, rhs: int) -> None:
+        """Check lhs op rhs at one point."""
         self.checked += 1
-        if not _holds(lhs, op, rhs):
+        if _holds_rows((lhs,), op, (rhs,)):
             self.violations.append(Violation(point, lhs, rhs))
 
     def check_rows(
@@ -135,40 +162,75 @@ class _Recorder:
         rhs_seq: Sequence[int],
     ) -> None:
         """Check lhs_seq[i] op rhs_seq[i] at the points make_point(idx[i]),
-        in order; the point dict is built only for a violation."""
+        in order, with one call to the funnel."""
+        fails = _holds_rows(lhs_seq, op, rhs_seq)
+        self.record(make_point, idx, lhs_seq, rhs_seq, fails)
+
+    def check_clauses(self, *clauses: _Clause) -> None:
+        """Check each clause (make_point, idx, lhs_seq, op, rhs_seq) with one
+        call to the funnel, where every idx rises; the violations come in
+        the order of a loop over the index values that checks the clauses
+        holding each value in turn."""
+        found = []
+        for c, (make_point, idx, lhs_seq, op, rhs_seq) in enumerate(clauses):
+            self._count(idx, lhs_seq)
+            found += [(idx[i], c, i) for i in _holds_rows(lhs_seq, op, rhs_seq)]
+        for value, c, i in sorted(found):
+            make_point, _, lhs_seq, _, rhs_seq = clauses[c]
+            self.violations.append(Violation(make_point(value), lhs_seq[i], rhs_seq[i]))
+
+    def record(
+        self,
+        make_point: Callable[[int], Dict[str, object]],
+        idx: Sequence[int],
+        lhs_seq: Sequence[int],
+        rhs_seq: Sequence[int],
+        fails: Sequence[int],
+    ) -> None:
+        """Count the points make_point(idx[i]) as checked, where ``fails``
+        holds the positions i at which a comparison of lhs_seq[i] against
+        rhs_seq[i] failed, in the order the violations are to be reported;
+        lets scans that make the same comparison share one funnel call."""
+        self._count(idx, lhs_seq)
+        self.violations += [
+            Violation(make_point(idx[i]), lhs_seq[i], rhs_seq[i]) for i in fails
+        ]
+
+    def _count(self, idx: Sequence[int], lhs_seq: Sequence[int]) -> None:
+        if len(idx) != len(lhs_seq):
+            raise ValueError(f"{len(idx)} points for {len(lhs_seq)} comparisons")
         self.checked += len(idx)
-        for i, lhs, rhs in zip(idx, lhs_seq, rhs_seq, strict=True):
-            if not _holds(lhs, op, rhs):
-                self.violations.append(Violation(make_point(i), lhs, rhs))
 
 
-class _Row(NamedTuple):
-    """One row of counts, counts[m - min_m] for each stored m."""
-
-    counts: List[int]
-    min_m: int
-
-    @classmethod
-    def mirror(cls, half: List[int]) -> "_Row":
-        """The symmetric row whose right half (m >= 0) is ``half``."""
-        return cls(half[:0:-1] + half, 1 - len(half))
-
-    def slice(self, m_lo: int, m_hi: int) -> List[int]:
-        return slice_row(self.counts, self.min_m, m_lo, m_hi)
-
-
-_NO_ROW = _Row([], 0)  # row n = -1, zero everywhere
-
-
-class _Window(NamedTuple):
-    """What a row scan is sent for one n: rows n and n - 1 of both statistics."""
+@dataclass
+class _Window:
+    """What a row scan is sent for one n: p(n), the right halves (m >= 0)
+    of the crank and rank rows n and n - 1, and the tail sums
+    tails[m] = sum_{j >= m} counts(j, n) of rows n."""
 
     n: int
-    crank: _Row
-    rank: _Row
-    crank_prev: _Row
-    rank_prev: _Row
+    p: int
+    crank: List[int]
+    crank_tails: List[int]
+    rank: List[int]
+    rank_tails: List[int]
+    crank_prev: List[int]
+    rank_prev: List[int]
 
+    @cached_property
+    def descents(self) -> Tuple[List[int], List[int], List[int]]:
+        """(head, tail, fails): M(m, n) for 0 <= m <= n - 2 in head, M(m + 1,
+        n) in tail, and the positions m at which head[m] >= tail[m] fails;
+        compared once per row for every scan that reads them (n >= 1)."""
+        n = self.n
+        head, tail = self.crank[: n - 1], self.crank[1:n]
+        return head, tail, _holds_rows(head, ">=", tail)
+
+
+# One clause of _Recorder.check_clauses: (make_point, idx, lhs_seq, op, rhs_seq).
+_Clause = Tuple[
+    Callable[[int], Dict[str, object]], Sequence[int], Sequence[int], str, Sequence[int]
+]
 
 # A row scan as VerifyContext.stream takes it: (n_from, n_to, generator).
 _RowScan = Tuple[int, int, Generator[None, Optional[_Window], None]]
@@ -219,25 +281,28 @@ class VerifyContext:
         is built.
 
         Each (n_from, n_to, scan) in ``scans`` is a row-scan generator: it
-        is run to its first ``yield``, sent the window of rows n - 1 and n
-        for each n_from <= n <= n_to, then sent None, after which it ends;
-        every n_from must be above ``first`` unless ``first`` is 0.
+        is run to its first ``yield``, sent the :class:`_Window` of rows
+        n - 1 and n for each n_from <= n <= n_to, then sent None, after
+        which it ends; every n_from must be above ``first`` unless
+        ``first`` is 0.
         """
         pvec = self.pvec(n_max)
         for _, _, scan in scans:
             next(scan)
-        prev = (_NO_ROW, _NO_ROW)
-        halves = zip(
-            statistics.crank_halves(n_max, pvec, first),
-            statistics.rank_halves(n_max, pvec, first),
+        crank_prev: List[int] = []  # row -1, zero everywhere
+        rank_prev: List[int] = []
+        rows = zip(
+            statistics._crank_rows(n_max, pvec, first),
+            statistics._rank_rows(n_max, pvec, first),
         )
-        for n, (c, r) in enumerate(halves, first):
-            rows = (_Row.mirror(c), _Row.mirror(r))
-            window = _Window(n, *rows, *prev)
+        for n, ((crank, crank_tails), (rank, rank_tails)) in enumerate(rows, first):
+            window = _Window(
+                n, pvec[n], crank, crank_tails, rank, rank_tails, crank_prev, rank_prev
+            )
             for n_from, n_to, scan in scans:
                 if n_from <= n <= n_to:
                     scan.send(window)
-            prev = rows
+            crank_prev, rank_prev = crank, rank
         for _, _, scan in scans:
             with suppress(StopIteration):
                 scan.send(None)
@@ -338,9 +403,9 @@ def _row_point(n: int, **extra: object) -> Callable[[int], Dict[str, object]]:
     return lambda m: {"n": n, "m": m, **extra}
 
 
-def _column_point(m: int) -> Callable[[int], Dict[str, object]]:
-    """The point builder of a column scan: n -> {"n": n, "m": m}."""
-    return lambda n: {"n": n, "m": m}
+def _n_point(**extra: object) -> Callable[[int], Dict[str, object]]:
+    """The point builder of a scan along n: n -> {"n": n, **extra}."""
+    return lambda n: {"n": n, **extra}
 
 
 # --------------------------------------------------------------------------
@@ -357,7 +422,7 @@ def _run_thm_1_1(ctx, rec, n_from, n_to):
         for lo, hi in ((0, max(n - 2, 0)), (n - 1, n)):
             rec.check_rows(
                 _row_point(n), range(lo, hi),
-                w.rank.slice(lo, hi), ">=", w.rank_prev.slice(lo, hi),
+                w.rank[lo:hi], ">=", slice_row(w.rank_prev, 0, lo, hi),
             )
 
 
@@ -368,7 +433,7 @@ def _run_thm_1_2(ctx, rec, n_from, n_to):
         n = w.n
         rec.check_rows(
             _row_point(n), range(0, n),
-            w.rank.slice(0, n), ">=", w.rank.slice(2, n + 2),
+            w.rank[:n], ">=", slice_row(w.rank, 0, 2, n + 2),
         )
 
 
@@ -383,10 +448,11 @@ def _run_thm_1_3a(ctx, rec, n_from, n_to):
     o = ctx.ospt(n_to)
     n0 = ctx.rank_m0(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(n_from, n_to + 1):
-        lhs = 4 * o[n]
-        rhs = p[n] + 2 * n0[n] - m0[n]
-        rec.check({"n": n}, lhs, ">", rhs)
+    ns = range(n_from, n_to + 1)
+    rec.check_rows(
+        _n_point(), ns,
+        [4 * o[n] for n in ns], ">", [p[n] + 2 * n0[n] - m0[n] for n in ns],
+    )
 
 
 @_theorem("THM1.3b", "strict upper bound on 4*ospt(n)", stated_n_from=7, n_base=1)
@@ -395,10 +461,12 @@ def _run_thm_1_3b(ctx, rec, n_from, n_to):
     o = ctx.ospt(n_to)
     n0, n1 = ctx.rank_m0(n_to), ctx.rank_m1(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(n_from, n_to + 1):
-        lhs = 4 * o[n]
-        rhs = p[n] + 2 * n0[n] - m0[n] + 2 * n1[n]
-        rec.check({"n": n}, lhs, "<", rhs)
+    ns = range(n_from, n_to + 1)
+    rec.check_rows(
+        _n_point(), ns,
+        [4 * o[n] for n in ns], "<",
+        [p[n] + 2 * n0[n] - m0[n] + 2 * n1[n] for n in ns],
+    )
 
 
 @_theorem("THM1.3c", "ospt(n) below half the partition count",
@@ -406,8 +474,8 @@ def _run_thm_1_3b(ctx, rec, n_from, n_to):
 def _run_thm_1_3c(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
-    for n in range(n_from, n_to + 1):
-        rec.check({"n": n}, 2 * o[n], "<", p[n])
+    ns = range(n_from, n_to + 1)
+    rec.check_rows(_n_point(), ns, [2 * o[n] for n in ns], "<", p[n_from : n_to + 1])
 
 
 # --------------------------------------------------------------------------
@@ -422,41 +490,33 @@ def _run_thm_1_6(ctx, rec, n_from, n_to):
         n = w.n
         rec.check_rows(
             _row_point(n), range(0, n - 1),
-            w.crank.slice(0, n - 1), ">=", w.crank_prev.slice(0, n - 1),
+            w.crank[: n - 1], ">=", w.crank_prev[: n - 1],
         )
 
 
 @_theorem("THM1.7", "crank counts weakly decrease in m for 1 <= m <= n-1",
           stated_n_from=44, n_base=1)
 def _run_thm_1_7(ctx, rec, n_from, n_to):
+    # M(m - 1, n) >= M(m, n): the row's descents
     while (w := (yield)) is not None:
-        n = w.n
-        rec.check_rows(
-            _row_point(n), range(1, n),
-            w.crank.slice(0, n - 1), ">=", w.crank.slice(1, n),
-        )
+        rec.record(_row_point(w.n), range(1, w.n), *w.descents)
 
 
 @_theorem("COR1.8", "crank row is unimodal over the window |m| <= n-1",
           stated_n_from=44, n_base=1)
 def _run_cor_1_8(ctx, rec, n_from, n_to):
     # two formulations that must agree: the literal window scan and the
-    # mirror reduction to nonnegative m
+    # mirror reduction to nonnegative m.  By symmetry every point is one of
+    # the row's descents M(j, n) >= M(j + 1, n), 0 <= j <= n - 2, read at
+    # m = -j (the window's left half, m rising), m = j (its right half) and
+    # m = j + 1 (the mirror)
     while (w := (yield)) is not None:
-        n, row = w.n, w.crank
+        n = w.n
+        head, tail, fails = w.descents
         window = _row_point(n, form="window")
-        rec.check_rows(
-            window, range(-(n - 2), 1),
-            row.slice(-(n - 2), 1), ">=", row.slice(-(n - 1), 0),
-        )
-        # M(m, n) against M(m + 1, n) for 0 <= m <= n - 2, read once for
-        # both the window's right half and the mirror
-        head, tail = row.slice(0, n - 1), row.slice(1, n)
-        rec.check_rows(window, range(0, n - 1), head, ">=", tail)
-        rec.check_rows(
-            _row_point(n, form="mirror"), range(1, n),
-            head, ">=", tail,
-        )
+        rec.record(window, range(0, -(n - 1), -1), head, tail, fails[::-1])
+        rec.record(window, range(0, n - 1), head, tail, fails)
+        rec.record(_row_point(n, form="mirror"), range(1, n), head, tail, fails)
 
 
 @_theorem("THM1.9", "partition count dominates 21 times the zero-crank count",
@@ -464,8 +524,8 @@ def _run_cor_1_8(ctx, rec, n_from, n_to):
 def _run_thm_1_9(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(n_from, n_to + 1):
-        rec.check({"n": n}, p[n], ">=", 21 * m0[n])
+    ns = range(n_from, n_to + 1)
+    rec.check_rows(_n_point(), ns, p[n_from : n_to + 1], ">=", [21 * m0[n] for n in ns])
 
 
 # --------------------------------------------------------------------------
@@ -476,10 +536,12 @@ def _run_thm_1_9(ctx, rec, n_from, n_to):
 @_theorem("THM1.10", "bounded-part partition counts weakly increase for k >= 5",
           stated_n_from=14, n_base=1)
 def _run_thm_1_10(ctx, rec, n_from, n_to, k_max=25):
+    ns = range(n_from, n_to + 1)
     for k in range(5, k_max + 1):
         c = ctx.fam("p", k, n_to)
-        for n in range(n_from, n_to + 1):
-            rec.check({"n": n, "k": k}, c[n], ">=", c[n - 1])
+        rec.check_rows(
+            _n_point(k=k), ns, c[n_from : n_to + 1], ">=", c[n_from - 1 : n_to]
+        )
 
 
 @_theorem("THM1.11", "pair counts weakly increase for k >= 3 (off (k,n)=(3,7))",
@@ -490,10 +552,12 @@ def _run_thm_1_11(ctx, rec, n_from, n_to, k_max=25):
     # so the blanket k >= 3, n >= 2 statement holds everywhere else
     for k in range(3, k_max + 1):
         c = ctx.fam("pp", k, n_to)
-        for n in range(n_from, n_to + 1):
-            if k == 3 and n == 7:
-                continue
-            rec.check({"n": n, "k": k}, c[n], ">=", c[n - 1])
+        runs = ((n_from, 7), (8, n_to + 1)) if k == 3 else ((n_from, n_to + 1),)
+        for lo, hi in runs:
+            lo, hi = max(lo, n_from), min(hi, n_to + 1)
+            rec.check_rows(
+                _n_point(k=k), range(lo, hi), c[lo:hi], ">=", c[lo - 1 : hi - 1]
+            )
 
 
 # --------------------------------------------------------------------------
@@ -507,29 +571,38 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
     d2 = ctx.fam("d", 2, n_to)
     d3 = ctx.fam("d", 3, n_to)
     d4 = ctx.fam("d", 4, n_to)
-    for n in range(n_from, n_to + 1):
-        rec.check({"n": n, "clause": "d2"}, d2[n], "==", 1 if n % 2 == 0 else -1)
-        r6 = n % 6
-        want3 = 1 if r6 in (0, 2) else (-1 if r6 == 1 else 0)
-        rec.check({"n": n, "clause": "d3"}, d3[n], "==", want3)
-        if n % 2 == 0:
-            rec.check({"n": n, "clause": "d4-even"}, d4[n], ">=", 0)
-        elif n % 12 == 3:
-            rec.check({"n": n, "clause": "d4-odd"}, d4[n], "==", -(n // 12))
-        else:
-            rec.check({"n": n, "clause": "d4-odd"}, d4[n], "==", -((n + 11) // 12))
+    ns = range(n_from, n_to + 1)
+    even = range(n_from + n_from % 2, n_to + 1, 2)
+    odd = range(n_from | 1, n_to + 1, 2)
+    rec.check_clauses(
+        (_n_point(clause="d2"), ns, d2[n_from : n_to + 1], "==",
+         [1 if n % 2 == 0 else -1 for n in ns]),
+        (_n_point(clause="d3"), ns, d3[n_from : n_to + 1], "==",
+         [1 if n % 6 in (0, 2) else (-1 if n % 6 == 1 else 0) for n in ns]),
+        (_n_point(clause="d4-even"), even, d4[even.start : n_to + 1 : 2], ">=",
+         [0] * len(even)),
+        (_n_point(clause="d4-odd"), odd, d4[odd.start : n_to + 1 : 2], "==",
+         [-(n // 12) if n % 12 == 3 else -((n + 11) // 12) for n in odd]),
+    )
     d5 = ctx.fam("d", 5, n_to)
-    for n in range(max(n_from, 2), n_to + 1):
-        rec.check({"n": n, "clause": "d5"}, d5[n], ">=", 0)
-        if n >= 14:
-            rec.check({"n": n, "clause": "d5-pos"}, d5[n], ">=", 1)
+    from2, from14 = range(max(n_from, 2), n_to + 1), range(max(n_from, 14), n_to + 1)
+    rec.check_clauses(
+        (_n_point(clause="d5"), from2, d5[from2.start : n_to + 1], ">=",
+         [0] * len(from2)),
+        (_n_point(clause="d5-pos"), from14, d5[from14.start : n_to + 1], ">=",
+         [1] * len(from14)),
+    )
     d6 = ctx.fam("d", 6, n_to)
-    for n in range(max(n_from, 14), n_to + 1):
-        rec.check({"n": n, "clause": "d6"}, d6[n], ">=", 0)
+    rec.check_rows(
+        _n_point(clause="d6"), from14, d6[from14.start : n_to + 1], ">=",
+        [0] * len(from14),
+    )
     for k in range(7, k_max + 1):
         dk = ctx.fam("d", k, n_to)
-        for n in range(max(n_from, 2), n_to + 1):
-            rec.check({"n": n, "k": k, "clause": "dk"}, dk[n], ">=", 0)
+        rec.check_rows(
+            _n_point(k=k, clause="dk"), from2, dk[from2.start : n_to + 1], ">=",
+            [0] * len(from2),
+        )
         if k + 2 <= n_to:
             rec.check({"n": k + 2, "k": k, "clause": "dk-pos"}, dk[k + 2], ">=", 1)
         if 2 * k + 7 <= n_to:
@@ -541,23 +614,28 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
 @_theorem("LEM2.3", "the majorant family t is nonnegative (positive off k = 5)",
           stated_n_from=0, n_base=0)
 def _run_lem_2_3(ctx, rec, n_from, n_to, k_max=20):
+    ns = range(n_from, n_to + 1)
     for k in range(4, k_max + 1):
         t = ctx.fam("t", k, n_to)
-        for n in range(n_from, n_to + 1):
-            rec.check({"n": n, "k": k}, t[n], ">=", 0)
-            if n >= 14 and k != 5:
-                rec.check({"n": n, "k": k, "clause": "pos"}, t[n], ">=", 1)
+        pos = range(max(n_from, 14) if k != 5 else n_to + 1, n_to + 1)
+        rec.check_clauses(
+            (_n_point(k=k), ns, t[n_from : n_to + 1], ">=", [0] * len(ns)),
+            (_n_point(k=k, clause="pos"), pos, t[pos.start : n_to + 1], ">=",
+             [1] * len(pos)),
+        )
 
 
 @_theorem("COR2.2", "bounded-part counts are positive, eventually >= floor(n/6)",
           stated_n_from=2, n_base=2)
 def _run_cor_2_2(ctx, rec, n_from, n_to, k_max=15):
+    ns, from12 = range(n_from, n_to + 1), range(max(n_from, 12), n_to + 1)
     for k in range(3, k_max + 1):
         c = ctx.fam("p", k, n_to)
-        for n in range(n_from, n_to + 1):
-            rec.check({"n": n, "k": k}, c[n], ">=", 1)
-            if n >= 12:
-                rec.check({"n": n, "k": k, "clause": "floor"}, c[n], ">=", n // 6)
+        rec.check_clauses(
+            (_n_point(k=k), ns, c[n_from : n_to + 1], ">=", [1] * len(ns)),
+            (_n_point(k=k, clause="floor"), from12, c[from12.start : n_to + 1], ">=",
+             [n // 6 for n in from12]),
+        )
 
 
 @_theorem("THM3.1", "all clauses for the first-difference family f",
@@ -570,25 +648,28 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
         if n_from <= 1 <= n_to:
             rec.check({"n": 1, "k": k, "clause": "init"}, c[1], "==", -1)
     f2 = ctx.fam("f", 2, n_to)
-    for n in range(n_from, n_to + 1):
-        if n % 2 == 0:
-            rec.check({"n": n, "k": 2, "clause": "even"}, f2[n], ">=", 0)
-        else:
-            rec.check(
-                {"n": n, "k": 2, "clause": "odd"}, f2[n], "==", -((n + 5) // 6)
-            )
+    even = range(n_from + n_from % 2, n_to + 1, 2)
+    odd = range(n_from | 1, n_to + 1, 2)
+    rec.check_clauses(
+        (_n_point(k=2, clause="even"), even, f2[even.start : n_to + 1 : 2], ">=",
+         [0] * len(even)),
+        (_n_point(k=2, clause="odd"), odd, f2[odd.start : n_to + 1 : 2], "==",
+         [-((n + 5) // 6) for n in odd]),
+    )
     f3 = ctx.fam("f", 3, n_to)
-    for n in range(max(n_from, 2), n_to + 1):
-        if n != 7:
-            rec.check({"n": n, "k": 3}, f3[n], ">=", 0)
-        if n % 2 == 1 and n >= 17:
-            rec.check(
-                {"n": n, "k": 3, "clause": "growth"}, 2 * f3[n], ">=", n - 15
-            )
+    from2 = range(max(n_from, 2), n_to + 1)
+    off7 = [n for n in from2 if n != 7]
+    growth = range(max(n_from, 17) | 1, n_to + 1, 2)
+    rec.check_clauses(
+        (_n_point(k=3), off7, [f3[n] for n in off7], ">=", [0] * len(off7)),
+        (_n_point(k=3, clause="growth"), growth, [2 * f3[n] for n in growth], ">=",
+         [n - 15 for n in growth]),
+    )
     for k in range(4, k_max + 1):
         c = ctx.fam("f", k, n_to)
-        for n in range(max(n_from, 2), n_to + 1):
-            rec.check({"n": n, "k": k}, c[n], ">=", 0)
+        rec.check_rows(
+            _n_point(k=k), from2, c[from2.start : n_to + 1], ">=", [0] * len(from2)
+        )
         if 2 * k + 7 <= n_to:
             rec.check(
                 {"n": 2 * k + 7, "k": k, "clause": "pos"}, c[2 * k + 7], ">=", 1
@@ -603,8 +684,8 @@ def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
     rows = []
     while (w := (yield)) is not None:
         if not rows:
-            rows.append(w.crank_prev.slice(2, m_max + 1))
-        rows.append(w.crank.slice(2, m_max + 1))
+            rows.append(slice_row(w.crank_prev, 0, 2, m_max + 1))
+        rows.append(slice_row(w.crank, 0, 2, m_max + 1))
     ns = range(n_from, n_to + 1)
     for m, col in zip(range(2, m_max + 1), zip(*rows)):
         d = ctx.fam("d", m, n_to)
@@ -614,7 +695,7 @@ def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
             + (p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0)
             for n in ns
         ]
-        rec.check_rows(_column_point(m), ns, list(map(sub, col[1:], col)), ">=", rhs)
+        rec.check_rows(_n_point(m=m), ns, list(map(sub, col[1:], col)), ">=", rhs)
 
 
 # --------------------------------------------------------------------------
@@ -631,26 +712,32 @@ def _run_thm_9_1(ctx, rec, n_from, n_to, k_max=8):
         g = ctx.fam("g", k, n_to)
         h = ctx.fam("h", k, n_to)
         lo = max(n_from, _G_VS_H_THRESHOLD.get(k, 0))
-        for n in range(lo, n_to + 1):
-            rec.check({"n": n, "k": k}, g[n], ">=", 21 * h[n])
+        rec.check_rows(
+            _n_point(k=k), range(lo, n_to + 1),
+            g[lo : n_to + 1], ">=", [21 * x for x in h[lo : n_to + 1]],
+        )
 
 
 @_theorem("LEM9.3", "monotonicity of g and h plus the k^2/n^2 cross bound",
           stated_n_from=0, n_base=0)
 def _run_lem_9_3(ctx, rec, n_from, n_to, k_max=8):
+    ns = range(n_from, n_to + 1)
+    lo = max(n_from, 1)
     for k in range(1, k_max + 1):
         g = ctx.fam("g", k, n_to)
         h = ctx.fam("h", k, n_to)
-        for n in range(max(n_from, 1), n_to + 1):
-            rec.check({"n": n, "k": k, "clause": "g-mono"}, g[n], ">=", g[n - 1])
-            rec.check({"n": n, "k": k, "clause": "h-mono"}, h[n], ">=", h[n - 1])
+        rec.check_clauses(
+            (_n_point(k=k, clause="g-mono"), range(lo, n_to + 1),
+             g[lo : n_to + 1], ">=", g[lo - 1 : n_to]),
+            (_n_point(k=k, clause="h-mono"), range(lo, n_to + 1),
+             h[lo : n_to + 1], ">=", h[lo - 1 : n_to]),
+        )
         if k >= 2:
             hprev = ctx.fam("h", k - 1, n_to)
-            for n in range(n_from, n_to + 1):
-                rec.check(
-                    {"n": n, "k": k, "clause": "cross"},
-                    k * k * h[n], "<=", n * n * hprev[n],
-                )
+            rec.check_rows(
+                _n_point(k=k, clause="cross"), ns,
+                [k * k * h[n] for n in ns], "<=", [n * n * hprev[n] for n in ns],
+            )
 
 
 _GBOUND_CLAUSES = (
@@ -668,11 +755,11 @@ _GBOUND_CLAUSES = (
 def _run_gbounds(ctx, rec, n_from, n_to):
     for fam_name, k, scale, power, op, lo_stated in _GBOUND_CLAUSES:
         c = ctx.fam(fam_name, k, n_to)
-        for n in range(max(n_from, lo_stated), n_to + 1):
-            rec.check(
-                {"n": n, "k": k, "clause": f"{fam_name}{k}"},
-                scale * c[n], op, n**power,
-            )
+        ns = range(max(n_from, lo_stated), n_to + 1)
+        rec.check_rows(
+            _n_point(k=k, clause=f"{fam_name}{k}"), ns,
+            [scale * c[n] for n in ns], op, [n**power for n in ns],
+        )
 
 
 # --------------------------------------------------------------------------
@@ -680,21 +767,24 @@ def _run_gbounds(ctx, rec, n_from, n_to):
 # --------------------------------------------------------------------------
 
 
-def _cum_row(row: _Row, n: int, m_lo: int, m_hi: int) -> List[int]:
-    """``cumulative(t).le(m, n)`` for m_lo <= m < m_hi of row n of a table
-    t, where -n <= m_lo: the row prefix-summed from m = -n, below which
-    neither statistic has a count."""
-    return list(accumulate(row.slice(-n, m_hi)))[n + m_lo :]
+def _le_row(tails: List[int], p: int, m_lo: int, m_hi: int) -> List[int]:
+    """``cumulative(t).le(m, n)`` for m_lo <= m < m_hi (m_lo <= 0 < m_hi),
+    from the tail sums of row n of a table t and p(n), the row's mass: by
+    symmetry le(m, n) is tails[-m] for m <= 0 and p(n) - tails[m + 1] for
+    m >= 0, with tails zero past the row."""
+    left = slice_row(tails, 0, 0, 1 - m_lo)[::-1]
+    return left + list(map(p.__sub__, slice_row(tails, 0, 2, m_hi + 1)))
 
 
 @_theorem("EQ9.5", "cumulative crank mass below cumulative rank mass (m <= 0)",
           stated_n_from=1, n_base=1)
 def _run_eq_9_5(ctx, rec, n_from, n_to):
     while (w := (yield)) is not None:
-        n = w.n
+        n, p = w.n, w.p
         rec.check_rows(
             _row_point(n), range(-n, 1),
-            _cum_row(w.crank, n, -n, 1), "<=", _cum_row(w.rank, n, -n + 1, 2),
+            _le_row(w.crank_tails, p, -n, 1), "<=",
+            _le_row(w.rank_tails, p, -n + 1, 2),
         )
 
 
@@ -702,10 +792,11 @@ def _run_eq_9_5(ctx, rec, n_from, n_to):
           stated_n_from=1, n_base=1)
 def _run_eq_9_6(ctx, rec, n_from, n_to):
     while (w := (yield)) is not None:
-        n = w.n
+        n, p = w.n, w.p
         rec.check_rows(
             _row_point(n), range(0, n + 1),
-            _cum_row(w.rank, n, -1, n), "<=", _cum_row(w.crank, n, 0, n + 1),
+            _le_row(w.rank_tails, p, -1, n), "<=",
+            _le_row(w.crank_tails, p, 0, n + 1),
         )
 
 
@@ -714,9 +805,10 @@ def _run_eq_9_6(ctx, rec, n_from, n_to):
 def _run_eq_9_12(ctx, rec, n_from, n_to):
     n0, n1 = ctx.rank_m0(n_to), ctx.rank_m1(n_to)
     m0 = ctx.crank_m0(n_to)
-    for n in range(n_from, n_to + 1):
-        lhs = n0[n] + n1[n]
-        rec.check({"n": n}, lhs, "<=", 4 * m0[n])
+    ns = range(n_from, n_to + 1)
+    rec.check_rows(
+        _n_point(), ns, [n0[n] + n1[n] for n in ns], "<=", [4 * m0[n] for n in ns]
+    )
 
 
 @_theorem("CONJ1.4", "ospt(n) below a third of the partition count",
@@ -724,8 +816,8 @@ def _run_eq_9_12(ctx, rec, n_from, n_to):
 def _run_conj_1_4(ctx, rec, n_from, n_to):
     p = ctx.pvec(n_to)
     o = ctx.ospt(n_to)
-    for n in range(n_from, n_to + 1):
-        rec.check({"n": n}, 3 * o[n], "<", p[n])
+    ns = range(n_from, n_to + 1)
+    rec.check_rows(_n_point(), ns, [3 * o[n] for n in ns], "<", p[n_from : n_to + 1])
 
 
 # --------------------------------------------------------------------------

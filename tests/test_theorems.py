@@ -55,8 +55,16 @@ def test_sub_threshold_scan_finds_violations(ctx):
     assert max(violating_n) < 39
 
 
+def _falsify_funnel(monkeypatch):
+    """Make the comparison funnel report every position as failing; every
+    scan looks it up as a module global, so this reaches every check."""
+    monkeypatch.setattr(
+        theorems, "_holds_rows", lambda lhs, op, rhs: list(range(len(lhs)))
+    )
+
+
 def test_falsified_comparison_cannot_pass(monkeypatch, ctx):
-    monkeypatch.setattr(theorems, "_holds", lambda lhs, op, rhs: False)
+    _falsify_funnel(monkeypatch)
     report = verify("THM1.7", 50, ctx=ctx)
     assert report.status == "fail"
     assert len(report.violations) == report.checked > 0
@@ -69,22 +77,68 @@ ROW_SCANS = (
 
 @pytest.mark.parametrize("theorem_id", ROW_SCANS)
 def test_falsified_comparison_fails_every_row_scan_point(theorem_id, monkeypatch, ctx):
-    # every point of a row- or column-slice scan still goes through _holds,
-    # and no scan reads a cell with get or le
+    # every point of a row- or column-slice scan still goes through the
+    # funnel, the descents THM1.7 and COR1.8 share included, and no scan
+    # reads a cell with get or le
     def per_cell_read(*args):
         raise AssertionError(f"{theorem_id} read a single cell")
 
     monkeypatch.setattr(DistributionTable, "get", per_cell_read)
     monkeypatch.setattr(CumulativeTable, "le", per_cell_read)
-    monkeypatch.setattr(theorems, "_holds", lambda lhs, op, rhs: False)
+    _falsify_funnel(monkeypatch)
     report = verify(theorem_id, 50, ctx=ctx)
     assert len(report.violations) == report.checked > 0
+
+
+def test_falsified_comparison_fails_every_suite_point(monkeypatch):
+    # one streamed pass feeds THM1.7 and COR1.8 the same descents; each of
+    # their point sets, and every other scan's, still fails point by point
+    _falsify_funnel(monkeypatch)
+    reports = verify_suite(60, ctx=VerifyContext())
+    assert [r.theorem_id for r in reports] == list(SUITE_ORDER)
+    for report in reports:
+        assert len(report.violations) == report.checked > 0, report.theorem_id
+    cor = next(r for r in reports if r.theorem_id == "COR1.8")
+    n = 60
+    assert [v.point for v in cor.violations if v.point["n"] == n] == [
+        *({"n": n, "m": m, "form": "window"} for m in range(-(n - 2), 1)),
+        *({"n": n, "m": m, "form": "window"} for m in range(0, n - 1)),
+        *({"n": n, "m": m, "form": "mirror"} for m in range(1, n)),
+    ]
+
+
+def test_funnel_reports_failing_positions():
+    holds_rows = theorems._holds_rows
+    lhs, rhs = [1, 2, 3, 4], [2, 2, 2, 5]
+    assert holds_rows(lhs, ">=", rhs) == [0, 3]
+    assert holds_rows(lhs, ">", rhs) == [0, 1, 3]
+    assert holds_rows(lhs, "<=", rhs) == [2]
+    assert holds_rows(lhs, "<", rhs) == [1, 2]
+    assert holds_rows(lhs, "==", rhs) == [0, 2, 3]
+    assert holds_rows([], "<", []) == []
+    assert holds_rows((7,), "<", (7,)) == [0]
+
+
+def test_funnel_rejects_unknown_ops_and_unequal_lengths():
+    holds_rows = theorems._holds_rows
+    for op in ("!=", "=>", "", "ge"):
+        with pytest.raises(ValueError, match="unknown comparison"):
+            holds_rows([1], op, [1])
+    with pytest.raises(ValueError):
+        holds_rows([1, 2], ">=", [1])
+    with pytest.raises(ValueError):
+        holds_rows([], "<=", [0])
+    rec = theorems._Recorder()
+    with pytest.raises(ValueError):
+        rec.check_rows(lambda n: {"n": n}, range(3), [1, 2], ">=", [0, 0])
+    with pytest.raises(ValueError):
+        rec.check({"n": 1}, 1, "=", 1)
 
 
 def test_eq_4_4_reports_violations_m_major(monkeypatch, ctx):
     # the column scan keeps the per-point scan's order and point keys,
     # which the CSV notes print as a dict repr
-    monkeypatch.setattr(theorems, "_holds", lambda lhs, op, rhs: False)
+    _falsify_funnel(monkeypatch)
     report = verify("EQ4.4", 20, ctx=ctx)
     points = [v.point for v in report.violations]
     assert points == [{"n": n, "m": m} for m in range(2, 16) for n in range(1, 21)]
@@ -211,7 +265,7 @@ def test_find_threshold_values(ctx):
 
 
 def test_find_threshold_none_when_top_fails(monkeypatch, ctx):
-    monkeypatch.setattr(theorems, "_holds", lambda lhs, op, rhs: False)
+    _falsify_funnel(monkeypatch)
     assert find_threshold("THM1.9", 80, ctx=ctx) is None
 
 
@@ -408,6 +462,209 @@ def test_one_dimensional_routes_match_one_streamed_pass():
     assert ctx.ospt(n_max) == o
     assert ctx.rank_m0(n_max) == n0
     assert ctx.rank_m1(n_max) == n1
+
+
+def _streamed_windows(n_max):
+    """Every window one streamed pass from row 0 sends, in order."""
+    windows = []
+
+    def collect():
+        while (w := (yield)) is not None:
+            windows.append(w)
+
+    VerifyContext().stream(n_max, [(0, n_max, collect())])
+    return windows
+
+
+def test_tail_sums_give_the_cumulative_tables():
+    # the cumulative scans read le(m, n) off the streamed tail sums and
+    # p(n); the prefix-summed dense rows are the independent reference
+    n_max = 90
+    crank_cum, rank_cum = _tables(n_max)[2:]
+    pvec = statistics.partition_numbers(n_max)
+    windows = _streamed_windows(n_max)
+    assert [w.n for w in windows] == list(range(n_max + 1))
+    for w in windows:
+        n = w.n
+        assert w.p == pvec[n]
+        ms = range(-(n + 1), n + 2)
+        for tails, cum in ((w.crank_tails, crank_cum), (w.rank_tails, rank_cum)):
+            assert theorems._le_row(tails, w.p, ms.start, ms.stop) == [
+                cum.le(m, n) for m in ms
+            ], n
+        # the row mass: tails[0] + tails[1] sums the row by symmetry
+        if n >= 1:
+            assert w.crank_tails[0] + w.crank_tails[1] == pvec[n]
+            assert sum(w.rank_tails[:2]) == pvec[n]
+
+
+def test_streamed_halves_match_the_public_halves():
+    n_max = 60
+    windows = _streamed_windows(n_max)
+    assert [w.crank for w in windows] == list(statistics.crank_halves(n_max))
+    assert [w.rank for w in windows] == list(statistics.rank_halves(n_max))
+    assert [w.crank_prev for w in windows[1:]] == [w.crank for w in windows[:-1]]
+    assert [w.rank_prev for w in windows[1:]] == [w.rank for w in windows[:-1]]
+    assert windows[0].crank_prev == windows[0].rank_prev == []
+
+
+def _reference_one_dim(theorem_id, ctx, n_from, n_to):
+    """(point, lhs, op, rhs) of every comparison of a one-dimensional scan,
+    one point at a time, in the order the scan reports them."""
+    grid = REGISTRY[theorem_id].defaults
+    p, o = ctx.pvec(n_to), ctx.ospt(n_to)
+    n0, n1, m0 = ctx.rank_m0(n_to), ctx.rank_m1(n_to), ctx.crank_m0(n_to)
+    ns = range(n_from, n_to + 1)
+    if theorem_id == "THM1.3a":
+        for n in ns:
+            yield {"n": n}, 4 * o[n], ">", p[n] + 2 * n0[n] - m0[n]
+    elif theorem_id == "THM1.3b":
+        for n in ns:
+            yield {"n": n}, 4 * o[n], "<", p[n] + 2 * n0[n] - m0[n] + 2 * n1[n]
+    elif theorem_id == "THM1.3c":
+        for n in ns:
+            yield {"n": n}, 2 * o[n], "<", p[n]
+    elif theorem_id == "THM1.9":
+        for n in ns:
+            yield {"n": n}, p[n], ">=", 21 * m0[n]
+    elif theorem_id == "EQ9.12":
+        for n in ns:
+            yield {"n": n}, n0[n] + n1[n], "<=", 4 * m0[n]
+    elif theorem_id == "CONJ1.4":
+        for n in ns:
+            yield {"n": n}, 3 * o[n], "<", p[n]
+    elif theorem_id in ("THM1.10", "THM1.11"):
+        family, k_min = ("p", 5) if theorem_id == "THM1.10" else ("pp", 3)
+        for k in range(k_min, grid["k_max"] + 1):
+            c = ctx.fam(family, k, n_to)
+            for n in ns:
+                if (theorem_id, k, n) != ("THM1.11", 3, 7):
+                    yield {"n": n, "k": k}, c[n], ">=", c[n - 1]
+    elif theorem_id == "THM2.4":
+        d = {k: ctx.fam("d", k, n_to) for k in range(2, grid["k_max"] + 1)}
+        for n in ns:
+            yield {"n": n, "clause": "d2"}, d[2][n], "==", 1 if n % 2 == 0 else -1
+            want3 = {0: 1, 2: 1, 1: -1}.get(n % 6, 0)
+            yield {"n": n, "clause": "d3"}, d[3][n], "==", want3
+            if n % 2 == 0:
+                yield {"n": n, "clause": "d4-even"}, d[4][n], ">=", 0
+            else:
+                want4 = -(n // 12) if n % 12 == 3 else -((n + 11) // 12)
+                yield {"n": n, "clause": "d4-odd"}, d[4][n], "==", want4
+        for n in range(max(n_from, 2), n_to + 1):
+            yield {"n": n, "clause": "d5"}, d[5][n], ">=", 0
+            if n >= 14:
+                yield {"n": n, "clause": "d5-pos"}, d[5][n], ">=", 1
+        for n in range(max(n_from, 14), n_to + 1):
+            yield {"n": n, "clause": "d6"}, d[6][n], ">=", 0
+        for k in range(7, grid["k_max"] + 1):
+            for n in range(max(n_from, 2), n_to + 1):
+                yield {"n": n, "k": k, "clause": "dk"}, d[k][n], ">=", 0
+            for n in (k + 2, 2 * k + 7):
+                if n <= n_to:
+                    yield {"n": n, "k": k, "clause": "dk-pos"}, d[k][n], ">=", 1
+    elif theorem_id == "LEM2.3":
+        for k in range(4, grid["k_max"] + 1):
+            t = ctx.fam("t", k, n_to)
+            for n in ns:
+                yield {"n": n, "k": k}, t[n], ">=", 0
+                if n >= 14 and k != 5:
+                    yield {"n": n, "k": k, "clause": "pos"}, t[n], ">=", 1
+    elif theorem_id == "COR2.2":
+        for k in range(3, grid["k_max"] + 1):
+            c = ctx.fam("p", k, n_to)
+            for n in ns:
+                yield {"n": n, "k": k}, c[n], ">=", 1
+                if n >= 12:
+                    yield {"n": n, "k": k, "clause": "floor"}, c[n], ">=", n // 6
+    elif theorem_id == "THM3.1":
+        f = {k: ctx.fam("f", k, n_to) for k in range(2, grid["k_max"] + 1)}
+        for k in f:
+            for n, want in ((0, 1), (1, -1)):
+                if n in ns:
+                    yield {"n": n, "k": k, "clause": "init"}, f[k][n], "==", want
+        for n in ns:
+            if n % 2 == 0:
+                yield {"n": n, "k": 2, "clause": "even"}, f[2][n], ">=", 0
+            else:
+                yield {"n": n, "k": 2, "clause": "odd"}, f[2][n], "==", -((n + 5) // 6)
+        for n in range(max(n_from, 2), n_to + 1):
+            if n != 7:
+                yield {"n": n, "k": 3}, f[3][n], ">=", 0
+            if n % 2 == 1 and n >= 17:
+                yield {"n": n, "k": 3, "clause": "growth"}, 2 * f[3][n], ">=", n - 15
+        for k in range(4, grid["k_max"] + 1):
+            for n in range(max(n_from, 2), n_to + 1):
+                yield {"n": n, "k": k}, f[k][n], ">=", 0
+            if 2 * k + 7 <= n_to:
+                point = {"n": 2 * k + 7, "k": k, "clause": "pos"}
+                yield point, f[k][2 * k + 7], ">=", 1
+    elif theorem_id == "THM9.1":
+        for k in range(1, grid["k_max"] + 1):
+            g, h = ctx.fam("g", k, n_to), ctx.fam("h", k, n_to)
+            for n in range(max(n_from, {1: 20, 2: 51, 3: 67}.get(k, 0)), n_to + 1):
+                yield {"n": n, "k": k}, g[n], ">=", 21 * h[n]
+    elif theorem_id == "LEM9.3":
+        for k in range(1, grid["k_max"] + 1):
+            g, h = ctx.fam("g", k, n_to), ctx.fam("h", k, n_to)
+            for n in range(max(n_from, 1), n_to + 1):
+                yield {"n": n, "k": k, "clause": "g-mono"}, g[n], ">=", g[n - 1]
+                yield {"n": n, "k": k, "clause": "h-mono"}, h[n], ">=", h[n - 1]
+            if k >= 2:
+                hprev = ctx.fam("h", k - 1, n_to)
+                for n in ns:
+                    point = {"n": n, "k": k, "clause": "cross"}
+                    yield point, k * k * h[n], "<=", n * n * hprev[n]
+    elif theorem_id == "GBOUNDS":
+        for family, k, scale, power, op, lo in (
+            ("g", 2, 24, 3, ">=", 0), ("g", 3, 4320, 5, ">=", 3),
+            ("g", 4, 2903040, 7, ">=", 8), ("h", 2, 4, 2, "<=", 0),
+            ("h", 3, 36, 4, "<=", 0),
+        ):
+            c = ctx.fam(family, k, n_to)
+            for n in range(max(n_from, lo), n_to + 1):
+                point = {"n": n, "k": k, "clause": f"{family}{k}"}
+                yield point, scale * c[n], op, n**power
+    else:
+        raise AssertionError(f"no reference for {theorem_id}")
+
+
+ONE_DIM_ROW_SCANS = tuple(tid for tid in SUITE_ORDER if not REGISTRY[tid].rows)
+
+
+@pytest.mark.parametrize("theorem_id", ONE_DIM_ROW_SCANS)
+def test_falsified_one_dimensional_scan_fails_point_by_point(
+    theorem_id, monkeypatch, ctx
+):
+    # each batched clause still reports every point, in the order of the
+    # per-point loop, interleaved clauses included
+    spec = REGISTRY[theorem_id]
+    comparisons = list(_reference_one_dim(theorem_id, ctx, spec.n_base, 30))
+    _falsify_funnel(monkeypatch)
+    report = verify(theorem_id, 30, overrides={"n_from": spec.n_base}, ctx=ctx)
+    assert report.checked == len(comparisons) > 0
+    assert [v.as_dict() for v in report.violations] == [
+        {"point": point, "lhs": lhs, "rhs": rhs} for point, lhs, op, rhs in comparisons
+    ]
+
+
+_ONE_DIM_OPS = {**_OPS, ">": operator.gt, "<": operator.lt, "==": operator.eq}
+
+
+@pytest.mark.parametrize("theorem_id", ONE_DIM_ROW_SCANS)
+def test_one_dimensional_scans_match_per_point_reference(theorem_id, ctx):
+    spec = REGISTRY[theorem_id]
+    for n_from in sorted({spec.n_base, 2, 7, 13, spec.stated_n_from}):
+        if n_from < spec.n_base:
+            continue
+        comparisons = list(_reference_one_dim(theorem_id, ctx, n_from, 90))
+        report = verify(theorem_id, 90, overrides={"n_from": n_from}, ctx=ctx)
+        assert report.checked == len(comparisons)
+        assert [v.as_dict() for v in report.violations] == [
+            {"point": point, "lhs": lhs, "rhs": rhs}
+            for point, lhs, op, rhs in comparisons
+            if not _ONE_DIM_OPS[op](lhs, rhs)
+        ]
 
 
 ONE_DIM_SCANS = ("THM1.3a", "THM1.3b", "THM1.3c", "THM1.9", "EQ9.12", "CONJ1.4")
