@@ -14,14 +14,22 @@ Seven families, each indexed by an integer k:
 Every family has a generating-function route; p (for k = 2, 3, 4) has
 closed forms, and g/h have naive recurrences.  The alternate routes exist
 to test the series engine, so they must not share code with it.
+
+The theorem scans walk k = least_k, least_k + 1, ... of a family along a
+:func:`ladder`, which steps each k from the one before and keeps no rung.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Iterator, List, Tuple
 
 from .errors import InvalidK
-from .series import TruncatedSeries, inv_pochhammer, inv_pochhammer_apply
+from .series import (
+    TruncatedSeries, geom_divide, inv_pochhammer, inv_pochhammer_apply, vec_add,
+    vec_sub,
+)
+
+Rung = Tuple[int, List[int]]  # (k, coefficients of the family's k-th series)
 
 
 def least_k(family: str) -> int:
@@ -172,15 +180,18 @@ def h_recurrence(k: int, n_max: int) -> List[int]:
     return cur
 
 
-# family name -> (least k, generating-function route)
+# family name -> (least k, generating-function route, ladder step).  The
+# step (shift, offsets) makes family k from family k - 1: multiply by
+# q^shift, then divide by (1 - q^(k + i)) for each i in offsets; t has a
+# ladder of its own.
 _FAMILIES = {
-    "p": (2, p_series),
-    "pp": (2, pp_series),
-    "d": (2, d_series),
-    "t": (4, t_series),
-    "f": (2, f_series),
-    "g": (0, g_series),
-    "h": (1, h_series),
+    "p": (2, p_series, (0, (0,))),
+    "pp": (2, pp_series, (0, (0, 1))),
+    "d": (2, d_series, (0, (0,))),
+    "t": (4, t_series, None),
+    "f": (2, f_series, (0, (0, 1))),
+    "g": (0, g_series, (0, (0, 0))),
+    "h": (1, h_series, (2, (0, 0))),
 }
 
 
@@ -188,3 +199,42 @@ def family_series(family: str, k: int, order: int) -> TruncatedSeries:
     """Dispatch to one family's generating-function route by name."""
     check_k(family, k)
     return _FAMILIES[family][1](k, order)
+
+
+def _times_q_pow(c: List[int], e: int, order: int) -> List[int]:
+    """c times q^e, cut to the coefficients of q^0..q^order, as a new list."""
+    return ([0] * e + c[: max(order + 1 - e, 0)])[: order + 1]
+
+
+def ladder(family: str, order: int) -> Iterator[Rung]:
+    """The rungs (k, coefficients of q^0..q^order of the family's k-th
+    series) for k = least_k(family), least_k + 1, ... without end.
+
+    The least k is built by :func:`family_series`, and each further rung
+    is a new list stepped from the one before; no rung is changed after it
+    is yielded.
+    """
+    k = least_k(family)
+    return _t_ladder(k, order) if family == "t" else _stepped_ladder(family, k, order)
+
+
+def _stepped_ladder(family: str, k: int, order: int) -> Iterator[Rung]:
+    shift, offsets = _FAMILIES[family][2]
+    c = family_series(family, k, order).coeffs()
+    while True:
+        yield k, c
+        k += 1
+        c = _times_q_pow(c, shift, order)
+        for i in offsets:
+            geom_divide(c, k + i)
+
+
+def _t_ladder(k: int, order: int) -> Iterator[Rung]:
+    """t_j = A_j - q^{j+2} B_j for j >= k, where A_j = sum_{i=2}^{j}
+    q^{2i} p_i and B_j = sum_{i=2}^{j} q^i p_i run along a p ladder."""
+    a = b = [0] * (order + 1)
+    for j, p in ladder("p", order):
+        a = vec_add(a, _times_q_pow(p, 2 * j, order))
+        b = vec_add(b, _times_q_pow(p, j, order))
+        if j >= k:
+            yield j, vec_sub(a, _times_q_pow(b, j + 2, order))

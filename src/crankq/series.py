@@ -248,8 +248,8 @@ def pochhammer(a: int, k: int, order: int) -> TruncatedSeries:
     _check_poch_args(a, k)
     _check_order(order)
     c = [1] + [0] * order
-    for j in range(k):
-        geom_multiply(c, a + j)
+    for e in range(a, min(a + k, order + 1)):  # no factor past the order acts
+        geom_multiply(c, e)
     return TruncatedSeries._wrap(c)
 
 
@@ -269,8 +269,8 @@ def inv_pochhammer_apply(s: TruncatedSeries, a: int, k: int) -> TruncatedSeries:
     on one copy of its coefficients)."""
     _check_poch_args(a, k)
     c = list(s._coeffs)
-    for j in range(k):
-        geom_divide(c, a + j)
+    for e in range(a, min(a + k, len(c))):  # no factor past the order acts
+        geom_divide(c, e)
     return TruncatedSeries._wrap(c)
 
 

@@ -36,13 +36,14 @@ time after the pass, so its violations stay m-major.  :func:`verify` runs
 a pass for its one row scan from row n_from - 1; :func:`verify_suite` runs
 one pass from row 0 for all eight, then the other scans, and returns the
 reports in ``SUITE_ORDER``.  Rows live one window at a time, so memory is
-O(N) big ints beside the family series, where the dense tables held
-O(N^2).
+O(N) big ints, where the dense tables held O(N^2).
 
-The one-dimensional scans read only p, ospt, N(0, .), N(1, .), M(0, .)
-and the family series, each built by its own route and cached by
-:class:`VerifyContext`; no row is made for them.  Each compares whole runs
-of n per clause (and per k) through the funnel.
+The one-dimensional scans read only p, ospt, N(0, .), N(1, .), M(0, .),
+each built by its own route and cached by :class:`VerifyContext`, and the
+family series, which are not cached: each scan over k steps k in place
+along a :func:`families.ladder` of its own, so no family list outlives
+its scan.  No row is made for them.  Each compares whole runs of n per
+clause (and per k) through the funnel.
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -55,14 +56,15 @@ import operator
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from operator import sub
 from typing import (
-    Any, Callable, Dict, Generator, Hashable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Generator, Hashable, Iterator, List, Optional, Sequence,
+    Tuple,
 )
 
 from . import families, statistics
 from .errors import RangeError, UnknownTheorem
-from .series import geom_divide, vec_add, vec_sub
 from .tables import slice_row
 
 
@@ -235,27 +237,13 @@ _Clause = Tuple[
 # A row scan as VerifyContext.stream takes it: (n_from, n_to, generator).
 _RowScan = Tuple[int, int, Generator[None, Optional[_Window], None]]
 
-# How family k steps from family k - 1: multiply by q^shift, then divide
-# by (1 - q^(k + i)) for each i in offsets.  t has a ladder of its own.
-_FAMILY_STEPS: Dict[str, Tuple[int, Tuple[int, ...]]] = {
-    "p": (0, (0,)),
-    "d": (0, (0,)),
-    "pp": (0, (0, 1)),
-    "f": (0, (0, 1)),
-    "g": (0, (0, 0)),
-    "h": (2, (0, 0)),
-}
-
-
-def _times_q_pow(c: List[int], e: int, order: int) -> List[int]:
-    """c times q^e, cut to the coefficients of q^0..q^order, as a new list."""
-    return ([0] * e + c[: max(order + 1 - e, 0)])[: order + 1]
 
 
 class VerifyContext:
-    """Caches the sequences and series shared by the theorem scans, and
-    feeds the row scans their rows (:meth:`stream`); it serves no dense
-    table.
+    """Caches p, ospt, N(0, .), N(1, .) and M(0, .) for the theorem scans,
+    and feeds the row scans their rows (:meth:`stream`); it serves no
+    dense table.  It keeps no family series: each family scan steps a
+    :func:`families.ladder` of its own and drops it when it ends.
 
     Each entry keeps the largest object built so far, under the n it was
     built for; requests covered by it are served from the cache, larger
@@ -325,45 +313,6 @@ class VerifyContext:
             "crank_m0", n_max, lambda n: statistics.crank_gf(0, n).coeffs()
         )
 
-    def fam(self, family: str, k: int, order: int) -> List[int]:
-        """``families.family_series(family, k, order).coeffs()``: the least
-        k of a family is built by ``family_series``, each larger k stepped
-        from the cached k - 1 entry at the same or a larger order."""
-        return self._cached(
-            ("fam", family, k), order, lambda n: self._fam_step(family, k, n)
-        )
-
-    def _fam_step(self, family: str, k: int, order: int) -> List[int]:
-        families.check_k(family, k)
-        if family == "t":
-            # t_k = A_k - q^{k+2} B_k
-            a, b = self._t_sums(k, order)
-            return vec_sub(a, _times_q_pow(b, k + 2, order))
-        if k == families.least_k(family):
-            return families.family_series(family, k, order).coeffs()
-        shift, offsets = _FAMILY_STEPS[family]
-        c = _times_q_pow(self.fam(family, k - 1, order), shift, order)
-        for i in offsets:
-            geom_divide(c, k + i)
-        return c
-
-    def _t_sums(self, k: int, order: int) -> Tuple[List[int], List[int]]:
-        """(A_k, B_k) = (sum_{j=2}^{k} q^{2j} p_j, sum_{j=2}^{k} q^j p_j),
-        where p_j = 1/(q^2;q)_{j-1} is the p ladder.  Only the last pair
-        made is kept; it is stepped on when it is for some j <= k at the
-        same or a larger order, else the sums start again from j = 1."""
-        j, a, b = 1, [0] * (order + 1), [0] * (order + 1)
-        entry = self._memo.get("t_sums")
-        if entry is not None and entry[0] >= order and entry[1][0] <= k:
-            j, a, b = entry[1]
-        while j < k:
-            j += 1
-            p = self.fam("p", j, order)
-            a = vec_add(a, _times_q_pow(p, 2 * j, order))
-            b = vec_add(b, _times_q_pow(p, j, order))
-        self._memo["t_sums"] = (order, (j, a, b))
-        return a, b
-
 
 @dataclass(frozen=True)
 class TheoremSpec:
@@ -406,6 +355,19 @@ def _row_point(n: int, **extra: object) -> Callable[[int], Dict[str, object]]:
 def _n_point(**extra: object) -> Callable[[int], Dict[str, object]]:
     """The point builder of a scan along n: n -> {"n": n, **extra}."""
     return lambda n: {"n": n, **extra}
+
+
+def _rungs(
+    rungs: Iterator[families.Rung], k_from: int, k_to: int
+) -> Iterator[families.Rung]:
+    """The rungs with k_from <= k <= k_to of a family ladder, in k order;
+    the ladder is not stepped past k_to."""
+    if k_from <= k_to:
+        for k, c in rungs:
+            if k >= k_from:
+                yield k, c
+            if k >= k_to:
+                return
 
 
 # --------------------------------------------------------------------------
@@ -537,8 +499,7 @@ def _run_thm_1_9(ctx, rec, n_from, n_to):
           stated_n_from=14, n_base=1)
 def _run_thm_1_10(ctx, rec, n_from, n_to, k_max=25):
     ns = range(n_from, n_to + 1)
-    for k in range(5, k_max + 1):
-        c = ctx.fam("p", k, n_to)
+    for k, c in _rungs(families.ladder("p", n_to), 5, k_max):
         rec.check_rows(
             _n_point(k=k), ns, c[n_from : n_to + 1], ">=", c[n_from - 1 : n_to]
         )
@@ -550,8 +511,7 @@ def _run_thm_1_11(ctx, rec, n_from, n_to, k_max=25):
     # (k, n) = (3, 7) is excluded: pp_3(7) = 8 < 9 = pp_3(6) is the one
     # genuine exception (the k = 3 first difference is -1 exactly there),
     # so the blanket k >= 3, n >= 2 statement holds everywhere else
-    for k in range(3, k_max + 1):
-        c = ctx.fam("pp", k, n_to)
+    for k, c in _rungs(families.ladder("pp", n_to), 3, k_max):
         runs = ((n_from, 7), (8, n_to + 1)) if k == 3 else ((n_from, n_to + 1),)
         for lo, hi in runs:
             lo, hi = max(lo, n_from), min(hi, n_to + 1)
@@ -568,9 +528,10 @@ def _run_thm_1_11(ctx, rec, n_from, n_to, k_max=25):
 @_theorem("THM2.4", "all clauses for the first-difference family d",
           stated_n_from=0, n_base=0)
 def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
-    d2 = ctx.fam("d", 2, n_to)
-    d3 = ctx.fam("d", 3, n_to)
-    d4 = ctx.fam("d", 4, n_to)
+    # d_2..d_6 have clauses of their own, whatever k_max is; d_7 on are
+    # the same clauses for each k
+    rungs = families.ladder("d", n_to)
+    (_, d2), (_, d3), (_, d4) = islice(rungs, 3)
     ns = range(n_from, n_to + 1)
     even = range(n_from + n_from % 2, n_to + 1, 2)
     odd = range(n_from | 1, n_to + 1, 2)
@@ -584,7 +545,7 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
         (_n_point(clause="d4-odd"), odd, d4[odd.start : n_to + 1 : 2], "==",
          [-(n // 12) if n % 12 == 3 else -((n + 11) // 12) for n in odd]),
     )
-    d5 = ctx.fam("d", 5, n_to)
+    _, d5 = next(rungs)
     from2, from14 = range(max(n_from, 2), n_to + 1), range(max(n_from, 14), n_to + 1)
     rec.check_clauses(
         (_n_point(clause="d5"), from2, d5[from2.start : n_to + 1], ">=",
@@ -592,13 +553,12 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
         (_n_point(clause="d5-pos"), from14, d5[from14.start : n_to + 1], ">=",
          [1] * len(from14)),
     )
-    d6 = ctx.fam("d", 6, n_to)
+    _, d6 = next(rungs)
     rec.check_rows(
         _n_point(clause="d6"), from14, d6[from14.start : n_to + 1], ">=",
         [0] * len(from14),
     )
-    for k in range(7, k_max + 1):
-        dk = ctx.fam("d", k, n_to)
+    for k, dk in _rungs(rungs, 7, k_max):
         rec.check_rows(
             _n_point(k=k, clause="dk"), from2, dk[from2.start : n_to + 1], ">=",
             [0] * len(from2),
@@ -615,8 +575,7 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
           stated_n_from=0, n_base=0)
 def _run_lem_2_3(ctx, rec, n_from, n_to, k_max=20):
     ns = range(n_from, n_to + 1)
-    for k in range(4, k_max + 1):
-        t = ctx.fam("t", k, n_to)
+    for k, t in _rungs(families.ladder("t", n_to), 4, k_max):
         pos = range(max(n_from, 14) if k != 5 else n_to + 1, n_to + 1)
         rec.check_clauses(
             (_n_point(k=k), ns, t[n_from : n_to + 1], ">=", [0] * len(ns)),
@@ -629,8 +588,7 @@ def _run_lem_2_3(ctx, rec, n_from, n_to, k_max=20):
           stated_n_from=2, n_base=2)
 def _run_cor_2_2(ctx, rec, n_from, n_to, k_max=15):
     ns, from12 = range(n_from, n_to + 1), range(max(n_from, 12), n_to + 1)
-    for k in range(3, k_max + 1):
-        c = ctx.fam("p", k, n_to)
+    for k, c in _rungs(families.ladder("p", n_to), 3, k_max):
         rec.check_clauses(
             (_n_point(k=k), ns, c[n_from : n_to + 1], ">=", [1] * len(ns)),
             (_n_point(k=k, clause="floor"), from12, c[from12.start : n_to + 1], ">=",
@@ -641,13 +599,14 @@ def _run_cor_2_2(ctx, rec, n_from, n_to, k_max=15):
 @_theorem("THM3.1", "all clauses for the first-difference family f",
           stated_n_from=0, n_base=0)
 def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
-    for k in range(2, k_max + 1):
-        c = ctx.fam("f", k, n_to)
+    # f_k(0) and f_k(1) for every k first, off a ladder at order 1
+    for k, c in _rungs(families.ladder("f", 1), 2, k_max):
         if n_from <= 0 <= n_to:
             rec.check({"n": 0, "k": k, "clause": "init"}, c[0], "==", 1)
         if n_from <= 1 <= n_to:
             rec.check({"n": 1, "k": k, "clause": "init"}, c[1], "==", -1)
-    f2 = ctx.fam("f", 2, n_to)
+    rungs = families.ladder("f", n_to)
+    _, f2 = next(rungs)
     even = range(n_from + n_from % 2, n_to + 1, 2)
     odd = range(n_from | 1, n_to + 1, 2)
     rec.check_clauses(
@@ -656,7 +615,7 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
         (_n_point(k=2, clause="odd"), odd, f2[odd.start : n_to + 1 : 2], "==",
          [-((n + 5) // 6) for n in odd]),
     )
-    f3 = ctx.fam("f", 3, n_to)
+    _, f3 = next(rungs)
     from2 = range(max(n_from, 2), n_to + 1)
     off7 = [n for n in from2 if n != 7]
     growth = range(max(n_from, 17) | 1, n_to + 1, 2)
@@ -665,8 +624,7 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
         (_n_point(k=3, clause="growth"), growth, [2 * f3[n] for n in growth], ">=",
          [n - 15 for n in growth]),
     )
-    for k in range(4, k_max + 1):
-        c = ctx.fam("f", k, n_to)
+    for k, c in _rungs(rungs, 4, k_max):
         rec.check_rows(
             _n_point(k=k), from2, c[from2.start : n_to + 1], ">=", [0] * len(from2)
         )
@@ -687,9 +645,9 @@ def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
             rows.append(slice_row(w.crank_prev, 0, 2, m_max + 1))
         rows.append(slice_row(w.crank, 0, 2, m_max + 1))
     ns = range(n_from, n_to + 1)
-    for m, col in zip(range(2, m_max + 1), zip(*rows)):
-        d = ctx.fam("d", m, n_to)
-        p = ctx.fam("p", m + 1, n_to)
+    d_rungs = _rungs(families.ladder("d", n_to), 2, m_max)
+    p_rungs = _rungs(families.ladder("p", n_to), 3, m_max + 1)
+    for (m, d), (_, p), col in zip(d_rungs, p_rungs, zip(*rows)):
         rhs = [
             (d[n - m] if n - m >= 0 else 0)
             + (p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0)
@@ -708,9 +666,9 @@ _G_VS_H_THRESHOLD = {1: 20, 2: 51, 3: 67}
 @_theorem("THM9.1", "pair counts dominate 21 times the restricted pair counts",
           stated_n_from=0, n_base=0)
 def _run_thm_9_1(ctx, rec, n_from, n_to, k_max=8):
-    for k in range(1, k_max + 1):
-        g = ctx.fam("g", k, n_to)
-        h = ctx.fam("h", k, n_to)
+    g_rungs = _rungs(families.ladder("g", n_to), 1, k_max)
+    h_rungs = _rungs(families.ladder("h", n_to), 1, k_max)
+    for (k, g), (_, h) in zip(g_rungs, h_rungs):
         lo = max(n_from, _G_VS_H_THRESHOLD.get(k, 0))
         rec.check_rows(
             _n_point(k=k), range(lo, n_to + 1),
@@ -723,9 +681,9 @@ def _run_thm_9_1(ctx, rec, n_from, n_to, k_max=8):
 def _run_lem_9_3(ctx, rec, n_from, n_to, k_max=8):
     ns = range(n_from, n_to + 1)
     lo = max(n_from, 1)
-    for k in range(1, k_max + 1):
-        g = ctx.fam("g", k, n_to)
-        h = ctx.fam("h", k, n_to)
+    g_rungs = _rungs(families.ladder("g", n_to), 1, k_max)
+    h_rungs = _rungs(families.ladder("h", n_to), 1, k_max)
+    for (k, g), (_, h) in zip(g_rungs, h_rungs):
         rec.check_clauses(
             (_n_point(k=k, clause="g-mono"), range(lo, n_to + 1),
              g[lo : n_to + 1], ">=", g[lo - 1 : n_to]),
@@ -733,11 +691,11 @@ def _run_lem_9_3(ctx, rec, n_from, n_to, k_max=8):
              h[lo : n_to + 1], ">=", h[lo - 1 : n_to]),
         )
         if k >= 2:
-            hprev = ctx.fam("h", k - 1, n_to)
             rec.check_rows(
                 _n_point(k=k, clause="cross"), ns,
                 [k * k * h[n] for n in ns], "<=", [n * n * hprev[n] for n in ns],
             )
+        hprev = h
 
 
 _GBOUND_CLAUSES = (
@@ -754,7 +712,7 @@ _GBOUND_CLAUSES = (
           stated_n_from=0, n_base=0)
 def _run_gbounds(ctx, rec, n_from, n_to):
     for fam_name, k, scale, power, op, lo_stated in _GBOUND_CLAUSES:
-        c = ctx.fam(fam_name, k, n_to)
+        c = families.family_series(fam_name, k, n_to).coeffs()
         ns = range(max(n_from, lo_stated), n_to + 1)
         rec.check_rows(
             _n_point(k=k, clause=f"{fam_name}{k}"), ns,

@@ -16,6 +16,7 @@ from crankq.enumeration import (
     crank_distribution_bruteforce,
     rank_distribution_bruteforce,
 )
+from crankq.families import family_series
 from crankq.identities import check_identity, identity_grid, proof_series
 from crankq.series import monomial
 from crankq.statistics import crank_gf, crank_table
@@ -86,9 +87,7 @@ def test_criterion_07_family_monotonicity(ctx):
 
 
 def test_criterion_08_difference_family_clauses(ctx):
-    d2 = ctx.fam("d", 2, 2000)
-    d3 = ctx.fam("d", 3, 2000)
-    d4 = ctx.fam("d", 4, 2000)
+    d2, d3, d4 = (family_series("d", k, 2000).coeffs() for k in (2, 3, 4))
     ok = all(d2[n] == (1 if n % 2 == 0 else -1) for n in range(2001))
     ok &= all(
         d3[n] == (1 if n % 6 in (0, 2) else (-1 if n % 6 == 1 else 0))
@@ -159,7 +158,7 @@ def test_criterion_12_pair_count_dominance(ctx):
     # companion bound plus the exact crossover that replaces the full-range
     # run for k = 4 (which `crankq verify --theorem THM9.1 --n-max 105839`
     # reproduces on demand)
-    h4 = ctx.fam("h", 4, 5000)
+    h4 = family_series("h", 4, 5000).coeffs()
     companion = all(576 * h4[n] <= n**6 for n in range(5001))
     crossover = (576 * 105839**7 < 21 * 2903040 * 105839**6) and (
         576 * 105840**7 >= 21 * 2903040 * 105840**6

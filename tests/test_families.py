@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from crankq.errors import InvalidK
@@ -37,6 +39,15 @@ def test_invalid_k_everywhere():
         p_explicit(5, 3)
     with pytest.raises(InvalidK):
         family_series("nope", 2, 10)
+
+
+@pytest.mark.parametrize("family", ["p", "pp", "d", "t", "f", "g", "h"])
+def test_huge_k_costs_only_the_factors_within_the_order(family):
+    # no factor (1 - q^e) with e past the order changes the series, so k
+    # = 10**9 must give the k = 7 values at order 5 without 10**9 steps
+    start = time.perf_counter()
+    assert family_series(family, 10**9, 5) == family_series(family, 7, 5)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -83,6 +83,7 @@ def test_pochhammer_values():
     assert pochhammer(2, 0, n).coeffs() == TruncatedSeries.constant(1, n).coeffs()
     assert pochhammer(1, 1, n).coeffs()[:3] == [1, -1, 0]
     assert pochhammer(2, 2, 5).coeffs() == [1, 0, -1, -1, 0, 1]
+    assert pochhammer(1, 10**9, 5) == pochhammer(1, 5, 5)
 
 
 def test_inv_pochhammer_counts_bounded_part_partitions():

@@ -148,6 +148,12 @@ def test_eq_4_4_reports_violations_m_major(monkeypatch, ctx):
 _OPS = {">=": operator.ge, "<=": operator.le}
 
 
+def _fam(family, k, order):
+    """The family's k-th series to q^order by its generating-function
+    route, independent of the ladders the scans step."""
+    return families.family_series(family, k, order).coeffs()
+
+
 @functools.lru_cache(maxsize=None)
 def _tables(n_max):
     """The dense crank and rank tables to n_max and their cumulative sums,
@@ -164,7 +170,7 @@ def _reference_comparisons(theorem_id, ctx, n_from, n_to):
         # m-major: down the n-axis one m at a time
         cranks = _tables(n_to)[0]
         for m in range(2, REGISTRY["EQ4.4"].defaults["m_max"] + 1):
-            d, p = ctx.fam("d", m, n_to), ctx.fam("p", m + 1, n_to)
+            d, p = _fam("d", m, n_to), _fam("p", m + 1, n_to)
             for n in range(n_from, n_to + 1):
                 rhs = (d[n - m] if n >= m else 0) + (
                     p[n - 2 * m - 3] if n >= 2 * m + 3 else 0
@@ -290,16 +296,16 @@ def test_thm_1_1_gap_point_really_fails():
         assert t.get(n - 2, n - 1) == 1
 
 
-def test_pp3_exception_is_exactly_minus_one(ctx):
+def test_pp3_exception_is_exactly_minus_one():
     # the one excluded point of the pp monotonicity scan, pinned exactly
-    pp3 = ctx.fam("pp", 3, 10)
+    pp3 = _fam("pp", 3, 10)
     assert pp3[7] - pp3[6] == -1
-    f3 = ctx.fam("f", 3, 10)
+    f3 = _fam("f", 3, 10)
     assert f3[7] == -1
 
 
-def test_d6_small_exceptions_recorded(ctx):
-    d6 = ctx.fam("d", 6, 20)
+def test_d6_small_exceptions_recorded():
+    d6 = _fam("d", 6, 20)
     assert {n for n in range(2, 14) if d6[n] < 0} == {7, 13}
 
 
@@ -356,8 +362,6 @@ def test_context_serves_smaller_requests_from_cache():
     assert ctx.rank_m0(20) is ctx.rank_m0(12)
     assert ctx.rank_m1(20) is ctx.rank_m1(12)
     assert ctx.crank_m0(20) is ctx.crank_m0(12)
-    assert ctx.fam("d", 5, 20) is ctx.fam("d", 5, 12)
-    assert ctx.fam("d", 5, 20) is not ctx.fam("d", 6, 20)
     assert len(ctx.ospt(30)) == 31  # a larger request rebuilds
 
 
@@ -508,10 +512,11 @@ def test_streamed_halves_match_the_public_halves():
     assert windows[0].crank_prev == windows[0].rank_prev == []
 
 
-def _reference_one_dim(theorem_id, ctx, n_from, n_to):
-    """(point, lhs, op, rhs) of every comparison of a one-dimensional scan,
-    one point at a time, in the order the scan reports them."""
-    grid = REGISTRY[theorem_id].defaults
+def _reference_one_dim(theorem_id, ctx, n_from, n_to, grid=None):
+    """(point, lhs, op, rhs) of every comparison of a one-dimensional scan
+    with the given grid (by default its own), one point at a time, in the
+    order the scan reports them."""
+    grid = {**REGISTRY[theorem_id].defaults, **(grid or {})}
     p, o = ctx.pvec(n_to), ctx.ospt(n_to)
     n0, n1, m0 = ctx.rank_m0(n_to), ctx.rank_m1(n_to), ctx.crank_m0(n_to)
     ns = range(n_from, n_to + 1)
@@ -536,12 +541,13 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to):
     elif theorem_id in ("THM1.10", "THM1.11"):
         family, k_min = ("p", 5) if theorem_id == "THM1.10" else ("pp", 3)
         for k in range(k_min, grid["k_max"] + 1):
-            c = ctx.fam(family, k, n_to)
+            c = _fam(family, k, n_to)
             for n in ns:
                 if (theorem_id, k, n) != ("THM1.11", 3, 7):
                     yield {"n": n, "k": k}, c[n], ">=", c[n - 1]
     elif theorem_id == "THM2.4":
-        d = {k: ctx.fam("d", k, n_to) for k in range(2, grid["k_max"] + 1)}
+        # the clauses of d_2..d_6 do not depend on k_max
+        d = {k: _fam("d", k, n_to) for k in range(2, max(grid["k_max"], 6) + 1)}
         for n in ns:
             yield {"n": n, "clause": "d2"}, d[2][n], "==", 1 if n % 2 == 0 else -1
             want3 = {0: 1, 2: 1, 1: -1}.get(n % 6, 0)
@@ -565,21 +571,22 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to):
                     yield {"n": n, "k": k, "clause": "dk-pos"}, d[k][n], ">=", 1
     elif theorem_id == "LEM2.3":
         for k in range(4, grid["k_max"] + 1):
-            t = ctx.fam("t", k, n_to)
+            t = _fam("t", k, n_to)
             for n in ns:
                 yield {"n": n, "k": k}, t[n], ">=", 0
                 if n >= 14 and k != 5:
                     yield {"n": n, "k": k, "clause": "pos"}, t[n], ">=", 1
     elif theorem_id == "COR2.2":
         for k in range(3, grid["k_max"] + 1):
-            c = ctx.fam("p", k, n_to)
+            c = _fam("p", k, n_to)
             for n in ns:
                 yield {"n": n, "k": k}, c[n], ">=", 1
                 if n >= 12:
                     yield {"n": n, "k": k, "clause": "floor"}, c[n], ">=", n // 6
     elif theorem_id == "THM3.1":
-        f = {k: ctx.fam("f", k, n_to) for k in range(2, grid["k_max"] + 1)}
-        for k in f:
+        # the clauses of f_2 and f_3 do not depend on k_max
+        f = {k: _fam("f", k, n_to) for k in range(2, max(grid["k_max"], 3) + 1)}
+        for k in range(2, grid["k_max"] + 1):
             for n, want in ((0, 1), (1, -1)):
                 if n in ns:
                     yield {"n": n, "k": k, "clause": "init"}, f[k][n], "==", want
@@ -601,17 +608,17 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to):
                 yield point, f[k][2 * k + 7], ">=", 1
     elif theorem_id == "THM9.1":
         for k in range(1, grid["k_max"] + 1):
-            g, h = ctx.fam("g", k, n_to), ctx.fam("h", k, n_to)
+            g, h = _fam("g", k, n_to), _fam("h", k, n_to)
             for n in range(max(n_from, {1: 20, 2: 51, 3: 67}.get(k, 0)), n_to + 1):
                 yield {"n": n, "k": k}, g[n], ">=", 21 * h[n]
     elif theorem_id == "LEM9.3":
         for k in range(1, grid["k_max"] + 1):
-            g, h = ctx.fam("g", k, n_to), ctx.fam("h", k, n_to)
+            g, h = _fam("g", k, n_to), _fam("h", k, n_to)
             for n in range(max(n_from, 1), n_to + 1):
                 yield {"n": n, "k": k, "clause": "g-mono"}, g[n], ">=", g[n - 1]
                 yield {"n": n, "k": k, "clause": "h-mono"}, h[n], ">=", h[n - 1]
             if k >= 2:
-                hprev = ctx.fam("h", k - 1, n_to)
+                hprev = _fam("h", k - 1, n_to)
                 for n in ns:
                     point = {"n": n, "k": k, "clause": "cross"}
                     yield point, k * k * h[n], "<=", n * n * hprev[n]
@@ -621,7 +628,7 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to):
             ("g", 4, 2903040, 7, ">=", 8), ("h", 2, 4, 2, "<=", 0),
             ("h", 3, 36, 4, "<=", 0),
         ):
-            c = ctx.fam(family, k, n_to)
+            c = _fam(family, k, n_to)
             for n in range(max(n_from, lo), n_to + 1):
                 point = {"n": n, "k": k, "clause": f"{family}{k}"}
                 yield point, scale * c[n], op, n**power
@@ -689,34 +696,46 @@ def _ladder_ks(family):
 
 @pytest.mark.parametrize("family", ["p", "pp", "d", "t", "f", "g", "h"])
 def test_family_ladders_match_family_series(family):
-    want = {
-        (k, order): families.family_series(family, k, order).coeffs()
-        for k in _ladder_ks(family)
-        for order in _LADDER_ORDERS
-    }
-
-    def check(ctx, k, order):
-        got = ctx.fam(family, k, order)
-        assert got[: order + 1] == want[k, order], (family, k, order)
-
     for order in _LADDER_ORDERS:
-        for ks in (_ladder_ks(family), reversed(_ladder_ks(family))):
-            ctx = VerifyContext()
-            for k in ks:
-                check(ctx, k, order)
-                assert len(ctx.fam(family, k, order)) == order + 1
-    # one context, each order growing past the entries cached before it,
-    # then shrinking back (served from the larger entries)
+        rungs = families.ladder(family, order)
+        # every rung is kept while the ladder goes on, so a step that
+        # changed an earlier rung in place would show below
+        kept = [next(rungs) for _ in _ladder_ks(family)]
+        next(rungs)
+        assert [k for k, _ in kept] == list(_ladder_ks(family))
+        for k, got in kept:
+            assert got == _fam(family, k, order), (family, k, order)
+
+
+# Grids that stop the k (or m) range below the fixed clauses of a scan,
+# or just at them; the fixed clauses are checked whatever the grid.
+_SMALL_GRIDS = (
+    *(("THM2.4", k) for k in (2, 5, 6, 7)),
+    *(("THM3.1", k) for k in (2, 3, 4)),
+    *((tid, k) for tid in ("LEM9.3", "THM9.1") for k in (1, 2)),
+    ("COR2.2", 3),
+    *(("LEM2.3", k) for k in (4, 5)),
+)
+
+
+@pytest.mark.parametrize("theorem_id, k_max", _SMALL_GRIDS)
+def test_small_grid_overrides_match_per_point_reference(theorem_id, k_max, ctx):
+    grid = {"k_max": k_max}
+    for n_from in sorted({max(f, REGISTRY[theorem_id].n_base) for f in (0, 1, 2, 13)}):
+        comparisons = list(_reference_one_dim(theorem_id, ctx, n_from, 90, grid))
+        report = verify(theorem_id, 90, overrides={"n_from": n_from, **grid}, ctx=ctx)
+        assert report.checked == len(comparisons) > 0
+        assert [v.as_dict() for v in report.violations] == [
+            {"point": point, "lhs": lhs, "rhs": rhs}
+            for point, lhs, op, rhs in comparisons
+            if not _ONE_DIM_OPS[op](lhs, rhs)
+        ]
+
+
+def test_no_family_list_outlives_its_scan():
     ctx = VerifyContext()
-    for order in (*_LADDER_ORDERS, *reversed(_LADDER_ORDERS)):
-        for k in _ladder_ks(family)[::3]:
-            check(ctx, k, order)
-        for k in reversed(_ladder_ks(family)):
-            check(ctx, k, order)
-    # one context, k rising while the order cycles up and down
-    ctx = VerifyContext()
-    for i, k in enumerate(_ladder_ks(family)):
-        check(ctx, k, _LADDER_ORDERS[i % len(_LADDER_ORDERS)])
+    verify_suite(300, ctx)
+    assert set(ctx._memo) == {"pvec", "ospt", "rank_m0", "rank_m1", "crank_m0"}
 
 
 def _traced_peak(n_to):
