@@ -312,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="scan one theorem or the whole suite")
-    p.add_argument("--theorem", metavar="ID", default=None)
-    p.add_argument("--suite", metavar="NAME", default=None)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--theorem", metavar="ID", default=None)
+    which.add_argument("--suite", metavar="NAME", default=None)
     p.add_argument("--n-max", type=int, default=DEFAULT_VERIFY_N_MAX)
     p.add_argument("--from", dest="from_n", type=int, default=None,
                    help="override the scan's starting n")

@@ -27,7 +27,9 @@ divided by q^{e_k}, as the order - e_k + 1 coefficients the shift leaves
 below the order, so adding q^{e_k} only puts a 1 and zeros in front of
 it, where a forward sum adds each summand in.  A sum to order N whose
 exponent grows quadratically in k costs O(N^1.5) coefficient updates.
-:func:`_ksum` remains for summands that are not products.
+The two sums whose summands are family series, S and the right side of
+OSPT-DECOMP, walk :func:`~crankq.families.ladder` instead
+(:func:`_ladder_sum`), so a sum over K summands steps K series.
 
 The crank sides all read :func:`~crankq.statistics.crank_gf` through one
 bounded memo, so a sweep over the m-grids builds each (m, order) series
@@ -43,10 +45,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import islice
+from operator import add
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .errors import InvalidParams, UnknownIdentity
-from .families import f_series, g_series, h_series, p_series
+from .families import Rung, f_series, ladder, p_series
 from .series import (
     TruncatedSeries,
     first_mismatch,
@@ -94,14 +98,15 @@ def _shifts(s: TruncatedSeries, *exps: int) -> TruncatedSeries:
     return acc
 
 
-def _ksum(order: int, k_start: int, exp_fn, term_fn) -> TruncatedSeries:
-    """Sum q^exp_fn(k) term_fn(k) for k >= k_start while exp_fn(k) <= order."""
-    acc = TruncatedSeries.zero(order)
-    k = k_start
-    while exp_fn(k) <= order:
-        acc = acc + term_fn(k).shift(exp_fn(k))
-        k += 1
-    return acc
+def _ladder_sum(order: int, rungs: Iterable[Rung], exp_fn) -> TruncatedSeries:
+    """Sum q^exp_fn(k) c_k over the rungs (k, c_k), each c_k cut at this
+    order, up to the first k whose exponent passes the order."""
+    acc = [0] * (order + 1)
+    for k, c in rungs:
+        if (e := exp_fn(k)) > order:
+            break
+        acc[e:] = map(add, acc[e:], c)
+    return TruncatedSeries.from_coeffs(acc)
 
 
 def _exponents(factors, below: int) -> Counter:
@@ -569,11 +574,13 @@ def _ospt_decomp_lhs(order: int) -> TruncatedSeries:
 
 
 def _ospt_decomp_rhs(order: int) -> TruncatedSeries:
-    return _ksum(
-        order, 1,
-        lambda k: k * k,
-        lambda k: g_series(k, order) - h_series(k, order).scale(21),
+    # sum_{k>=1} q^{k^2} (g_k - 21 h_k), along the g ladder from k = 1
+    g_rungs = islice(ladder("g", order), 1, None)
+    rungs = (
+        (k, [x - 21 * y for x, y in zip(g, h)])
+        for (k, g), (_, h) in zip(g_rungs, ladder("h", order))
     )
+    return _ladder_sum(order, rungs, lambda k: k * k)
 
 
 # --------------------------------------------------------------------------
@@ -586,7 +593,9 @@ def _r_series(order: int) -> TruncatedSeries:
 
 
 def _s_series(order: int) -> TruncatedSeries:
-    return _ksum(order, 3, lambda k: k * k + 7 * k + 7, lambda k: f_series(k + 1, order))
+    # sum_{k>=3} q^{k^2+7k+7} f_{k+1}, along the f ladder from k + 1 = 4
+    rungs = ((j - 1, f) for j, f in islice(ladder("f", order), 2, None))
+    return _ladder_sum(order, rungs, lambda k: k * k + 7 * k + 7)
 
 
 def _tm_head(order: int, m: int) -> TruncatedSeries:

@@ -25,20 +25,22 @@ cells.  The crank's n = 1 convention row (-1, 1), (0, -1), (1, 1) falls
 out of the form without any special-casing; the rank's n = 0 row is set
 to [1] by convention.
 
-The one-dimensional sequences need no row: each is a sparse or short
-numerator divided by (q)_inf in one helper, ``_divide_by_q_inf`` (Euler's
-pentagonal recurrence, O(n_max^1.5) additions), and p(n) is its case
-with numerator 1.  The forms above, weighted by m and summed over
-m >= 1, give the first positive moments (Andrews--Chan--Kim)
+A column needs no row either: counts(m, .) for one m is the same form
+read down the n-axis, where each k adds two shifted slices of p
+(``_column``, O(n_max^1.5) additions); it gives the theorem scans
+N(0, .), N(1, .) and the crank columns M(m, .).  Only p and ospt are
+still a numerator divided by (q)_inf, in one helper, ``_divide_by_q_inf``
+(Euler's pentagonal recurrence, O(n_max^1.5) additions): p(n) is its
+case with numerator 1, and the forms above, weighted by m and summed
+over m >= 1, give the first positive moments (Andrews--Chan--Kim)
 
     sum_n M+(n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(k+1)/2} / (1-q^k),
     sum_n N+(n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{k(3k+1)/2} / (1-q^k),
 
-so :func:`ospt` = M+ - N+ is one division of the numerators' difference,
-and the rank column N(m, .) for one m divides the rank's own numerator
-(N(0, 0) = 1 by convention).  :func:`crank_gf` evaluates a different
-crank generating function term by term: it gives M(0, .) and is the
-independent second route for the crank table.
+so :func:`ospt` = M+ - N+ is one division of the numerators' difference.
+:func:`crank_gf` evaluates a different crank generating function term
+by term: it is the crank side of the identities and the independent
+second route for the crank table and its columns.
 """
 
 from __future__ import annotations
@@ -111,6 +113,27 @@ def _sparse_form_half(
         tails[: len(s)] = map(add if k % 2 else sub, tails, s)
         k += 1
     return [*map(sub, tails, tails[1:]), tails[-1]], tails
+
+
+def _column(
+    lead: Callable[[int], int], m: int, pvec: List[int], n_max: int
+) -> List[int]:
+    """counts(m, 0..n_max) for one m >= 0 of the sparse form with this
+    ``lead``, from p(0..n_max) (or more) in ``pvec``:
+
+        sum_n counts(m,n) q^n = P(q) sum_{k>=1} (-1)^{k-1} (q^e - q^{e+k}),
+
+    with e = lead(k) + mk and P(q) = 1/(q)_inf, so each k adds two
+    shifted slices of p: the column twin of :func:`_sparse_form_half`.
+    The rank's N(0, 0) = 1 convention is left to the caller."""
+    col = [0] * (n_max + 1)
+    k = 1
+    while (e := lead(k) + m * k) <= n_max:
+        plus, minus = (add, sub) if k % 2 else (sub, add)
+        col[e:] = map(plus, col[e:], pvec)
+        col[e + k :] = map(minus, col[e + k :], pvec)
+        k += 1
+    return col
 
 
 def _p_upto(n_max: int, pvec: List[int] | None) -> List[int]:
@@ -230,23 +253,6 @@ def partition_numbers(n_max: int) -> List[int]:
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     return _divide_by_q_inf([1] + [0] * n_max)
-
-
-def _rank_column(m: int, n_max: int) -> List[int]:
-    """N(m, 0..n_max) for one m >= 0, from the Atkin--Swinnerton-Dyer form;
-    N(0, 0) = 1, the empty partition."""
-    c = [0] * (n_max + 1)
-    k = 1
-    while (e := _rank_lead(k) + m * k) <= n_max:
-        sign = 1 if k % 2 else -1
-        c[e] += sign
-        if e + k <= n_max:
-            c[e + k] -= sign
-        k += 1
-    _divide_by_q_inf(c)
-    if m == 0:
-        c[0] = 1
-    return c
 
 
 def _add_moment_numerator(c: List[int], lead: Callable[[int], int], sign: int) -> None:

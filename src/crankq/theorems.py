@@ -17,33 +17,32 @@ does so for clauses that share one index (``n``) and reports their
 violations in the order of the per-point loop that checks them in turn;
 ``_Recorder.check`` sends one point, as a run of length one.
 
-The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8, EQ4.4,
-EQ9.5, EQ9.6) build no table.  Each is a generator, fed by one streamed
-pass, :meth:`VerifyContext.stream`: the pass makes the right halves
-(m >= 0) of the crank and rank rows n = 0, 1, ... from one p(0..N),
-together with their tail sums tails[m] = sum_{j >= m} counts(j, n) that
-the sparse forms in :mod:`crankq.statistics` compute on the way, and sends
-each scan a :class:`_Window` (p(n), rows n and n - 1) for every n in its
-range, then None.  No row is mirrored: by symmetry a scan reads M(m, n) at
-m < 0 as M(-m, n), and the cumulative scans EQ9.5 and EQ9.6 read
-le(m, n) as tails[-m] for m <= 0 and as p(n) - tails[m + 1] for m >= 0,
-with no prefix sum.  THM1.7 and all three point sets of COR1.8 (both
-halves of the window and the mirror) are the row's descents
-M(m, n) >= M(m + 1, n); the window compares them once, and each scan maps
-the failing positions back to its own m in its own order.  EQ4.4 keeps
-M(m, n) for its m-range as the rows go by and checks one column m at a
-time after the pass, so its violations stay m-major.  :func:`verify` runs
-a pass for its one row scan from row n_from - 1; :func:`verify_suite` runs
-one pass from row 0 for all eight, then the other scans, and returns the
-reports in ``SUITE_ORDER``.  Rows live one window at a time, so memory is
-O(N) big ints, where the dense tables held O(N^2).
+The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8,
+EQ9.5, EQ9.6) build no table.  Each is a row scan, a plain function of
+the record and one :class:`_Window` (p(n), rows n and n - 1), which one
+streamed pass, :meth:`VerifyContext.stream`, calls once for every n in
+its range: the pass makes the right halves (m >= 0) of the crank and rank
+rows n = 0, 1, ... from one p(0..N), together with their tail sums
+tails[m] = sum_{j >= m} counts(j, n) that the sparse forms in
+:mod:`crankq.statistics` compute on the way.  No row is mirrored: by
+symmetry a scan reads M(m, n) at m < 0 as M(-m, n), and the cumulative
+scans EQ9.5 and EQ9.6 read le(m, n) as tails[-m] for m <= 0 and as
+p(n) - tails[m + 1] for m >= 0, with no prefix sum.  THM1.7 and all three
+point sets of COR1.8 (both halves of the window and the mirror) are the
+row's descents M(m, n) >= M(m + 1, n); the window compares them once, and
+each scan maps the failing positions back to its own m in its own order.
+:func:`verify` runs a pass for its one row scan from row n_from - 1;
+:func:`verify_suite` runs one pass from row 0 for all seven, then the
+other scans, and returns the reports in ``SUITE_ORDER``.  Rows live one
+window at a time, so memory is O(N) big ints, where the dense tables held
+O(N^2).
 
-The one-dimensional scans read only p, ospt, N(0, .), N(1, .), M(0, .),
-each built by its own route and cached by :class:`VerifyContext`, and the
-family series, which are not cached: each scan over k steps k in place
-along a :func:`families.ladder` of its own, so no family list outlives
-its scan.  No row is made for them.  Each compares whole runs of n per
-clause (and per k) through the funnel.
+The one-dimensional scans read p, ospt, N(0, .), N(1, .) and M(0, .),
+cached by :class:`VerifyContext`, and build the rest as they go: each
+scan over k steps a :func:`families.ladder` of its own, and EQ4.4 builds
+one crank column M(m, .) per m, so no family list or column outlives its
+step.  No row is made for them.  Each compares whole runs of n per
+clause (and per k or m) through the funnel.
 
 Theorem ids are stable public strings consumed by the CLI and the
 acceptance suite.
@@ -53,14 +52,12 @@ from __future__ import annotations
 
 import inspect
 import operator
-from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from operator import sub
 from typing import (
-    Any, Callable, Dict, Generator, Hashable, Iterator, List, Optional, Sequence,
-    Tuple,
+    Any, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from . import families, statistics
@@ -206,8 +203,8 @@ class _Recorder:
 
 @dataclass
 class _Window:
-    """What a row scan is sent for one n: p(n), the right halves (m >= 0)
-    of the crank and rank rows n and n - 1, and the tail sums
+    """What a row scan is called with for one n: p(n), the right halves
+    (m >= 0) of the crank and rank rows n and n - 1, and the tail sums
     tails[m] = sum_{j >= m} counts(j, n) of rows n."""
 
     n: int
@@ -234,9 +231,8 @@ _Clause = Tuple[
     Callable[[int], Dict[str, object]], Sequence[int], Sequence[int], str, Sequence[int]
 ]
 
-# A row scan as VerifyContext.stream takes it: (n_from, n_to, generator).
-_RowScan = Tuple[int, int, Generator[None, Optional[_Window], None]]
-
+# A row scan as VerifyContext.stream takes it: (n_from, n_to, scan(window)).
+_RowScan = Tuple[int, int, Callable[[_Window], None]]
 
 
 class VerifyContext:
@@ -268,15 +264,12 @@ class VerifyContext:
         """One pass over the crank and rank rows n = first..n_max; no table
         is built.
 
-        Each (n_from, n_to, scan) in ``scans`` is a row-scan generator: it
-        is run to its first ``yield``, sent the :class:`_Window` of rows
-        n - 1 and n for each n_from <= n <= n_to, then sent None, after
-        which it ends; every n_from must be above ``first`` unless
-        ``first`` is 0.
+        Each (n_from, n_to, scan) in ``scans`` is a row scan: it is called
+        with the :class:`_Window` of rows n - 1 and n once for each
+        n_from <= n <= n_to, in order; every n_from must be above ``first``
+        unless ``first`` is 0.
         """
         pvec = self.pvec(n_max)
-        for _, _, scan in scans:
-            next(scan)
         crank_prev: List[int] = []  # row -1, zero everywhere
         rank_prev: List[int] = []
         rows = zip(
@@ -289,28 +282,35 @@ class VerifyContext:
             )
             for n_from, n_to, scan in scans:
                 if n_from <= n <= n_to:
-                    scan.send(window)
+                    scan(window)
             crank_prev, rank_prev = crank, rank
-        for _, _, scan in scans:
-            with suppress(StopIteration):
-                scan.send(None)
 
     def ospt(self, n_max: int) -> List[int]:
         """ospt(0..n_max) (n_max >= 1), without a row."""
         return self._cached("ospt", n_max, statistics.ospt)
 
     def rank_m0(self, n_max: int) -> List[int]:
-        """N(0, 0..n_max) without a row."""
-        return self._cached("rank_m0", n_max, lambda n: statistics._rank_column(0, n))
+        """N(0, 0..n_max) without a row; N(0, 0) = 1, the empty partition."""
+
+        def build(n: int) -> List[int]:
+            col = statistics._column(statistics._rank_lead, 0, self.pvec(n), n)
+            col[0] = 1
+            return col
+
+        return self._cached("rank_m0", n_max, build)
 
     def rank_m1(self, n_max: int) -> List[int]:
         """N(1, 0..n_max) without a row."""
-        return self._cached("rank_m1", n_max, lambda n: statistics._rank_column(1, n))
+        return self._cached(
+            "rank_m1", n_max,
+            lambda n: statistics._column(statistics._rank_lead, 1, self.pvec(n), n),
+        )
 
     def crank_m0(self, n_max: int) -> List[int]:
-        """M(0, 0..n_max) without building the full table."""
+        """M(0, 0..n_max) without a row."""
         return self._cached(
-            "crank_m0", n_max, lambda n: statistics.crank_gf(0, n).coeffs()
+            "crank_m0", n_max,
+            lambda n: statistics._column(statistics._crank_lead, 0, self.pvec(n), n),
         )
 
 
@@ -322,15 +322,16 @@ class TheoremSpec:
     n_base: int  # smallest n the scan may start from; verify clamps to it
     run: Callable[..., Any]
     defaults: Dict[str, int]  # the grid: the scan's keyword defaults
-    rows: bool  # run is a row-scan generator fed by VerifyContext.stream
+    rows: bool  # run is a row scan, called per window by VerifyContext.stream
 
 
 REGISTRY: Dict[str, TheoremSpec] = {}
 
 
-def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
-    """Register the decorated scan; its keyword defaults become the grid,
-    and a generator function is registered as a row scan."""
+def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int, rows=False):
+    """Register the decorated scan; its keyword defaults become the grid.
+    A row scan (``rows``) is a function of the record and one window;
+    any other scan is a function of the context, the record and its range."""
 
     def register(run: Callable[..., None]) -> Callable[..., None]:
         grid = {
@@ -339,8 +340,7 @@ def _theorem(id: str, description: str, *, stated_n_from: int, n_base: int):
             if param.default is not param.empty
         }
         REGISTRY[id] = TheoremSpec(
-            id, description, stated_n_from, n_base, run, grid,
-            inspect.isgeneratorfunction(run),
+            id, description, stated_n_from, n_base, run, grid, rows
         )
         return run
 
@@ -376,27 +376,24 @@ def _rungs(
 
 
 @_theorem("THM1.1", "rank counts weakly increase in n (with the top-m exception)",
-          stated_n_from=12, n_base=1)
-def _run_thm_1_1(ctx, rec, n_from, n_to):
+          stated_n_from=12, n_base=1, rows=True)
+def _run_thm_1_1(rec, w):
     # m = n - 2 is deliberately absent: N(n-2, n) = 0 < 1 = N(n-2, n-1)
-    while (w := (yield)) is not None:
-        n = w.n
-        for lo, hi in ((0, max(n - 2, 0)), (n - 1, n)):
-            rec.check_rows(
-                _row_point(n), range(lo, hi),
-                w.rank[lo:hi], ">=", slice_row(w.rank_prev, 0, lo, hi),
-            )
+    n = w.n
+    for lo, hi in ((0, max(n - 2, 0)), (n - 1, n)):
+        rec.check_rows(
+            _row_point(n), range(lo, hi),
+            w.rank[lo:hi], ">=", slice_row(w.rank_prev, 0, lo, hi),
+        )
 
 
 @_theorem("THM1.2", "rank counts weakly decrease in even steps of m",
-          stated_n_from=0, n_base=0)
-def _run_thm_1_2(ctx, rec, n_from, n_to):
-    while (w := (yield)) is not None:
-        n = w.n
-        rec.check_rows(
-            _row_point(n), range(0, n),
-            w.rank[:n], ">=", slice_row(w.rank, 0, 2, n + 2),
-        )
+          stated_n_from=0, n_base=0, rows=True)
+def _run_thm_1_2(rec, w):
+    n = w.n
+    rec.check_rows(
+        _row_point(n), range(0, n), w.rank[:n], ">=", slice_row(w.rank, 0, 2, n + 2)
+    )
 
 
 # --------------------------------------------------------------------------
@@ -446,39 +443,35 @@ def _run_thm_1_3c(ctx, rec, n_from, n_to):
 
 
 @_theorem("THM1.6", "crank counts weakly increase in n for 0 <= m <= n-2",
-          stated_n_from=14, n_base=1)
-def _run_thm_1_6(ctx, rec, n_from, n_to):
-    while (w := (yield)) is not None:
-        n = w.n
-        rec.check_rows(
-            _row_point(n), range(0, n - 1),
-            w.crank[: n - 1], ">=", w.crank_prev[: n - 1],
-        )
+          stated_n_from=14, n_base=1, rows=True)
+def _run_thm_1_6(rec, w):
+    n = w.n
+    rec.check_rows(
+        _row_point(n), range(0, n - 1), w.crank[: n - 1], ">=", w.crank_prev[: n - 1]
+    )
 
 
 @_theorem("THM1.7", "crank counts weakly decrease in m for 1 <= m <= n-1",
-          stated_n_from=44, n_base=1)
-def _run_thm_1_7(ctx, rec, n_from, n_to):
+          stated_n_from=44, n_base=1, rows=True)
+def _run_thm_1_7(rec, w):
     # M(m - 1, n) >= M(m, n): the row's descents
-    while (w := (yield)) is not None:
-        rec.record(_row_point(w.n), range(1, w.n), *w.descents)
+    rec.record(_row_point(w.n), range(1, w.n), *w.descents)
 
 
 @_theorem("COR1.8", "crank row is unimodal over the window |m| <= n-1",
-          stated_n_from=44, n_base=1)
-def _run_cor_1_8(ctx, rec, n_from, n_to):
+          stated_n_from=44, n_base=1, rows=True)
+def _run_cor_1_8(rec, w):
     # two formulations that must agree: the literal window scan and the
     # mirror reduction to nonnegative m.  By symmetry every point is one of
     # the row's descents M(j, n) >= M(j + 1, n), 0 <= j <= n - 2, read at
     # m = -j (the window's left half, m rising), m = j (its right half) and
     # m = j + 1 (the mirror)
-    while (w := (yield)) is not None:
-        n = w.n
-        head, tail, fails = w.descents
-        window = _row_point(n, form="window")
-        rec.record(window, range(0, -(n - 1), -1), head, tail, fails[::-1])
-        rec.record(window, range(0, n - 1), head, tail, fails)
-        rec.record(_row_point(n, form="mirror"), range(1, n), head, tail, fails)
+    n = w.n
+    head, tail, fails = w.descents
+    window = _row_point(n, form="window")
+    rec.record(window, range(0, -(n - 1), -1), head, tail, fails[::-1])
+    rec.record(window, range(0, n - 1), head, tail, fails)
+    rec.record(_row_point(n, form="mirror"), range(1, n), head, tail, fails)
 
 
 @_theorem("THM1.9", "partition count dominates 21 times the zero-crank count",
@@ -563,12 +556,9 @@ def _run_thm_2_4(ctx, rec, n_from, n_to, k_max=25):
             _n_point(k=k, clause="dk"), from2, dk[from2.start : n_to + 1], ">=",
             [0] * len(from2),
         )
-        if k + 2 <= n_to:
-            rec.check({"n": k + 2, "k": k, "clause": "dk-pos"}, dk[k + 2], ">=", 1)
-        if 2 * k + 7 <= n_to:
-            rec.check(
-                {"n": 2 * k + 7, "k": k, "clause": "dk-pos"}, dk[2 * k + 7], ">=", 1
-            )
+        for n in (k + 2, 2 * k + 7):
+            if n_from <= n <= n_to:
+                rec.check({"n": n, "k": k, "clause": "dk-pos"}, dk[n], ">=", 1)
 
 
 @_theorem("LEM2.3", "the majorant family t is nonnegative (positive off k = 5)",
@@ -628,32 +618,30 @@ def _run_thm_3_1(ctx, rec, n_from, n_to, k_max=20):
         rec.check_rows(
             _n_point(k=k), from2, c[from2.start : n_to + 1], ">=", [0] * len(from2)
         )
-        if 2 * k + 7 <= n_to:
-            rec.check(
-                {"n": 2 * k + 7, "k": k, "clause": "pos"}, c[2 * k + 7], ">=", 1
-            )
+        if n_from <= 2 * k + 7 <= n_to:
+            rec.check({"n": 2 * k + 7, "k": k, "clause": "pos"}, c[2 * k + 7], ">=", 1)
 
 
 @_theorem("EQ4.4", "crank increment dominated from below by d and p terms",
           stated_n_from=1, n_base=1)
 def _run_eq_4_4(ctx, rec, n_from, n_to, m_max=15):
-    # M(m, n) for 2 <= m <= m_max, one list per n = n_from - 1..n_to;
-    # checked one column m at a time once the rows have gone by
-    rows = []
-    while (w := (yield)) is not None:
-        if not rows:
-            rows.append(slice_row(w.crank_prev, 0, 2, m_max + 1))
-        rows.append(slice_row(w.crank, 0, 2, m_max + 1))
+    # one crank column M(m, .) at a time, dropped at the next m as the
+    # d_m and p_{m+1} rungs are
+    pvec = ctx.pvec(n_to)
     ns = range(n_from, n_to + 1)
     d_rungs = _rungs(families.ladder("d", n_to), 2, m_max)
     p_rungs = _rungs(families.ladder("p", n_to), 3, m_max + 1)
-    for (m, d), (_, p), col in zip(d_rungs, p_rungs, zip(*rows)):
+    for (m, d), (_, p) in zip(d_rungs, p_rungs):
+        col = statistics._column(statistics._crank_lead, m, pvec, n_to)
         rhs = [
             (d[n - m] if n - m >= 0 else 0)
             + (p[n - 2 * m - 3] if n - 2 * m - 3 >= 0 else 0)
             for n in ns
         ]
-        rec.check_rows(_n_point(m=m), ns, list(map(sub, col[1:], col)), ">=", rhs)
+        rec.check_rows(
+            _n_point(m=m), ns,
+            list(map(sub, col[n_from:], col[n_from - 1 : n_to])), ">=", rhs,
+        )
 
 
 # --------------------------------------------------------------------------
@@ -735,27 +723,23 @@ def _le_row(tails: List[int], p: int, m_lo: int, m_hi: int) -> List[int]:
 
 
 @_theorem("EQ9.5", "cumulative crank mass below cumulative rank mass (m <= 0)",
-          stated_n_from=1, n_base=1)
-def _run_eq_9_5(ctx, rec, n_from, n_to):
-    while (w := (yield)) is not None:
-        n, p = w.n, w.p
-        rec.check_rows(
-            _row_point(n), range(-n, 1),
-            _le_row(w.crank_tails, p, -n, 1), "<=",
-            _le_row(w.rank_tails, p, -n + 1, 2),
-        )
+          stated_n_from=1, n_base=1, rows=True)
+def _run_eq_9_5(rec, w):
+    n, p = w.n, w.p
+    rec.check_rows(
+        _row_point(n), range(-n, 1),
+        _le_row(w.crank_tails, p, -n, 1), "<=", _le_row(w.rank_tails, p, -n + 1, 2),
+    )
 
 
 @_theorem("EQ9.6", "cumulative rank mass below cumulative crank mass (m >= 0)",
-          stated_n_from=1, n_base=1)
-def _run_eq_9_6(ctx, rec, n_from, n_to):
-    while (w := (yield)) is not None:
-        n, p = w.n, w.p
-        rec.check_rows(
-            _row_point(n), range(0, n + 1),
-            _le_row(w.rank_tails, p, -1, n), "<=",
-            _le_row(w.crank_tails, p, 0, n + 1),
-        )
+          stated_n_from=1, n_base=1, rows=True)
+def _run_eq_9_6(rec, w):
+    n, p = w.n, w.p
+    rec.check_rows(
+        _row_point(n), range(0, n + 1),
+        _le_row(w.rank_tails, p, -1, n), "<=", _le_row(w.crank_tails, p, 0, n + 1),
+    )
 
 
 @_theorem("EQ9.12", "two central rank counts within four times the zero-crank count",
@@ -813,12 +797,13 @@ class _Job:
             raise RangeError(f"n_to={n_to} is below the scan start {n_from}")
         return cls(spec, n_from, n_to, params)
 
-    def start(self, ctx: VerifyContext) -> Any:
-        """Run a one-dimensional scan; a row scan only returns its generator."""
-        return self.spec.run(ctx, self.rec, self.n_from, self.n_to, **self.params)
+    def run(self, ctx: VerifyContext) -> None:
+        """Run a scan that is not a row scan."""
+        self.spec.run(ctx, self.rec, self.n_from, self.n_to, **self.params)
 
-    def row_scan(self, ctx: VerifyContext) -> _RowScan:
-        return self.n_from, self.n_to, self.start(ctx)
+    def row_scan(self) -> _RowScan:
+        """A row scan, as :meth:`VerifyContext.stream` takes it."""
+        return self.n_from, self.n_to, partial(self.spec.run, self.rec)
 
     def report(self) -> VerificationReport:
         if self.rec.checked == 0:
@@ -853,9 +838,9 @@ def verify(
     if ctx is None:
         ctx = VerifyContext()
     if job.spec.rows:
-        ctx.stream(n_to, [job.row_scan(ctx)], first=max(job.n_from - 1, 0))
+        ctx.stream(n_to, [job.row_scan()], first=max(job.n_from - 1, 0))
     else:
-        job.start(ctx)
+        job.run(ctx)
     return job.report()
 
 
@@ -870,10 +855,10 @@ def verify_suite(
     if ctx is None:
         ctx = VerifyContext()
     jobs = [_Job.make(tid, n_to, None) for tid in SUITE_ORDER]
-    ctx.stream(n_to, [job.row_scan(ctx) for job in jobs if job.spec.rows])
+    ctx.stream(n_to, [job.row_scan() for job in jobs if job.spec.rows])
     for job in jobs:
         if not job.spec.rows:
-            job.start(ctx)
+            job.run(ctx)
     return [job.report() for job in jobs]
 
 

@@ -174,6 +174,15 @@ def test_bad_input_exits_2_with_message(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_verify_rejects_a_theorem_with_a_suite(capsys):
+    code = cli.main(["verify", "--theorem", "THM1.7", "--suite", "paper"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert "argument --suite: not allowed with argument --theorem" in captured.err
+
+
 def test_io_error_exit_code(capsys):
     code = cli.main(
         ["table", "--stat", "crank", "--n-max", "3", "--out", "/no/such/dir/x.csv"]

@@ -7,6 +7,9 @@ import pytest
 from crankq.enumeration import crank_distribution_bruteforce, rank_distribution_dp
 from crankq.series import inv_pochhammer
 from crankq.statistics import (
+    _column,
+    _crank_lead,
+    _rank_lead,
     crank_gf,
     crank_half,
     crank_halves,
@@ -34,6 +37,27 @@ def test_crank_table_matches_per_m_series():
     for m in range(order + 1):
         g = crank_gf(m, order)
         assert [table.get(m, n) for n in range(order + 1)] == g.coeffs()
+
+
+def test_columns_match_the_table_columns():
+    # counts(m, 0..n) down the n-axis against the rows' entries, cut at
+    # every n so each top coefficient is checked, from one longer p vector
+    n_max = 120
+    pvec = partition_numbers(n_max)
+    tables = ((crank_table(n_max), _crank_lead), (rank_table(n_max), _rank_lead))
+    for table, lead in tables:
+        for m in range(16):
+            want = [table.get(m, n) for n in range(n_max + 1)]
+            if lead is _rank_lead and m == 0:
+                want[0] = 0  # N(0, 0) = 1 is the caller's convention
+            for n in range(n_max + 1):
+                assert _column(lead, m, pvec, n) == want[: n + 1], (table.stat, m, n)
+
+
+def test_crank_columns_match_crank_gf():
+    pvec = partition_numbers(300)
+    for m in range(16):
+        assert _column(_crank_lead, m, pvec, 300) == crank_gf(m, 300).coeffs(), m
 
 
 def test_crank_table_matches_bruteforce_to_30():

@@ -70,12 +70,13 @@ def test_falsified_comparison_cannot_pass(monkeypatch, ctx):
     assert len(report.violations) == report.checked > 0
 
 
-ROW_SCANS = (
-    "THM1.1", "THM1.2", "THM1.6", "THM1.7", "COR1.8", "EQ9.5", "EQ9.6", "EQ4.4",
-)
+ROW_SCANS = ("THM1.1", "THM1.2", "THM1.6", "THM1.7", "COR1.8", "EQ9.5", "EQ9.6")
+
+# The scans over crank or rank counts: the row scans and EQ4.4's columns.
+SLICE_SCANS = (*ROW_SCANS, "EQ4.4")
 
 
-@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+@pytest.mark.parametrize("theorem_id", SLICE_SCANS)
 def test_falsified_comparison_fails_every_row_scan_point(theorem_id, monkeypatch, ctx):
     # every point of a row- or column-slice scan still goes through the
     # funnel, the descents THM1.7 and COR1.8 share included, and no scan
@@ -105,6 +106,16 @@ def test_falsified_comparison_fails_every_suite_point(monkeypatch):
         *({"n": n, "m": m, "form": "window"} for m in range(0, n - 1)),
         *({"n": n, "m": m, "form": "mirror"} for m in range(1, n)),
     ]
+
+
+@pytest.mark.parametrize("theorem_id", SUITE_ORDER)
+def test_no_point_below_n_from_is_checked(theorem_id, monkeypatch, ctx):
+    # every checked point fails under the falsified funnel, so the
+    # violations list every point the scan checked
+    _falsify_funnel(monkeypatch)
+    report = verify(theorem_id, 60, overrides={"n_from": 50}, ctx=ctx)
+    assert len(report.violations) == report.checked > 0
+    assert all(50 <= v.point["n"] <= 60 for v in report.violations)
 
 
 def test_funnel_reports_failing_positions():
@@ -214,7 +225,7 @@ def _reference_row(theorem_id, n, n_to):
             yield {"n": n, "m": m}, nc.le(m - 1, n), "<=", mc.le(m, n)
 
 
-@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+@pytest.mark.parametrize("theorem_id", SLICE_SCANS)
 def test_row_slice_scans_match_per_point_reference(theorem_id, ctx):
     spec = REGISTRY[theorem_id]
     found = 0
@@ -244,7 +255,7 @@ def test_row_slice_scans_match_per_point_reference(theorem_id, ctx):
     assert (found > 0) == (spec.stated_n_from > spec.n_base)
 
 
-@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+@pytest.mark.parametrize("theorem_id", SLICE_SCANS)
 def test_row_scans_match_per_point_reference_from_a_later_start(theorem_id, ctx):
     # a scan that starts above its base still reads row n_from - 1 where
     # its statement compares neighbouring rows (THM1.1, THM1.6, EQ4.4)
@@ -393,7 +404,7 @@ def test_suite_streams_without_building_a_table(monkeypatch):
     assert built == [60]
 
 
-@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+@pytest.mark.parametrize("theorem_id", SLICE_SCANS)
 def test_row_scan_streams_without_building_a_table(theorem_id, monkeypatch):
     _no_tables(monkeypatch)
     report = verify(theorem_id, 90, ctx=VerifyContext())
@@ -412,8 +423,7 @@ def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatc
     for n_from in (1, 2, 45, 90):
         # the same scan fed by a pass over every row from 0
         job = theorems._Job.make(theorem_id, 90, {"n_from": n_from})
-        full = VerifyContext()
-        full.stream(90, [job.row_scan(full)])
+        VerifyContext().stream(90, [job.row_scan()])
         built.clear()
         ctx = VerifyContext()
         report = verify(theorem_id, 90, overrides={"n_from": n_from}, ctx=ctx)
@@ -436,11 +446,12 @@ def test_one_dimensional_sequences_match_the_tables():
         statistics.ospt(n_max, cranks=cranks, ranks=ranks),
         [ranks.get(0, n) for n in range(n_max + 1)],
         [ranks.get(1, n) for n in range(n_max + 1)],
+        [cranks.get(0, n) for n in range(n_max + 1)],
     )
     # built for each n on its own too, so every top coefficient is checked
     for n in range(1, n_max + 1):
         fresh = VerifyContext()
-        got = fresh.ospt(n), fresh.rank_m0(n), fresh.rank_m1(n)
+        got = fresh.ospt(n), fresh.rank_m0(n), fresh.rank_m1(n), fresh.crank_m0(n)
         assert got == tuple(w[: n + 1] for w in want), n
     # a covered request is served from the same entry
     assert fresh.rank_m1(40) is fresh.rank_m1(n_max)
@@ -471,12 +482,7 @@ def test_one_dimensional_routes_match_one_streamed_pass():
 def _streamed_windows(n_max):
     """Every window one streamed pass from row 0 sends, in order."""
     windows = []
-
-    def collect():
-        while (w := (yield)) is not None:
-            windows.append(w)
-
-    VerifyContext().stream(n_max, [(0, n_max, collect())])
+    VerifyContext().stream(n_max, [(0, n_max, windows.append)])
     return windows
 
 
@@ -516,6 +522,9 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to, grid=None):
     """(point, lhs, op, rhs) of every comparison of a one-dimensional scan
     with the given grid (by default its own), one point at a time, in the
     order the scan reports them."""
+    if theorem_id == "EQ4.4":
+        yield from _reference_comparisons(theorem_id, ctx, n_from, n_to)
+        return
     grid = {**REGISTRY[theorem_id].defaults, **(grid or {})}
     p, o = ctx.pvec(n_to), ctx.ospt(n_to)
     n0, n1, m0 = ctx.rank_m0(n_to), ctx.rank_m1(n_to), ctx.crank_m0(n_to)
@@ -567,7 +576,7 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to, grid=None):
             for n in range(max(n_from, 2), n_to + 1):
                 yield {"n": n, "k": k, "clause": "dk"}, d[k][n], ">=", 0
             for n in (k + 2, 2 * k + 7):
-                if n <= n_to:
+                if n in ns:
                     yield {"n": n, "k": k, "clause": "dk-pos"}, d[k][n], ">=", 1
     elif theorem_id == "LEM2.3":
         for k in range(4, grid["k_max"] + 1):
@@ -603,7 +612,7 @@ def _reference_one_dim(theorem_id, ctx, n_from, n_to, grid=None):
         for k in range(4, grid["k_max"] + 1):
             for n in range(max(n_from, 2), n_to + 1):
                 yield {"n": n, "k": k}, f[k][n], ">=", 0
-            if 2 * k + 7 <= n_to:
+            if 2 * k + 7 in ns:
                 point = {"n": 2 * k + 7, "k": k, "clause": "pos"}
                 yield point, f[k][2 * k + 7], ">=", 1
     elif theorem_id == "THM9.1":
@@ -674,7 +683,9 @@ def test_one_dimensional_scans_match_per_point_reference(theorem_id, ctx):
         ]
 
 
-ONE_DIM_SCANS = ("THM1.3a", "THM1.3b", "THM1.3c", "THM1.9", "EQ9.12", "CONJ1.4")
+ONE_DIM_SCANS = (
+    "THM1.3a", "THM1.3b", "THM1.3c", "THM1.9", "EQ9.12", "CONJ1.4", "EQ4.4",
+)
 
 
 @pytest.mark.parametrize("theorem_id", ONE_DIM_SCANS)
