@@ -15,15 +15,16 @@ the right half (m >= 0) of row n is
 so each k-term adds the strided reverse slice p(a), p(a-k), p(a-2k), ...
 to one running list, the tail sums acc[m] = sum_{j>=m} counts(j,n), whose
 first differences are the half.
-:func:`crank_halves` and :func:`rank_halves` yield these halves one row at
-a time (:func:`crank_half` makes one crank row alone), and the theorem
-scans' streamed pass reads each half with its tail sums: row n costs
-O(n log n) exact big-int additions and O(n) memory beside the p(n)
-vector, and only :func:`crank_table` and
+One generator, ``_rows``, yields each half with its tail sums one row at
+a time: the theorem scans' streamed pass reads both, :func:`crank_halves`
+and :func:`rank_halves` the halves alone (:func:`crank_half` makes one
+crank row).  Row n costs O(n log n) exact big-int additions and O(n)
+memory beside the p(n) vector, and only :func:`crank_table` and
 :func:`rank_table`, which collect the mirrored rows, hold O(n_max^2)
 cells.  The crank's n = 1 convention row (-1, 1), (0, -1), (1, 1) falls
-out of the form without any special-casing; the rank's n = 0 row is set
-to [1] by convention.
+out of the form without any special-casing; counts(0, 0) = 1, the empty
+partition, is set by ``_rows`` and ``_column``, since the rank's form
+leaves it out.
 
 A column needs no row either: counts(m, .) for one m is the same form
 read down the n-axis, where each k adds two shifted slices of p
@@ -45,7 +46,6 @@ second route for the crank table and its columns.
 
 from __future__ import annotations
 
-from itertools import chain, islice
 from operator import add, sub
 from typing import Callable, Iterable, Iterator, List, Tuple
 
@@ -94,19 +94,16 @@ def _rank_lead(k: int) -> int:
 _Row = Tuple[List[int], List[int]]  # (half, tails) of one row
 
 
-def _sparse_form_half(
-    pvec: List[int], n: int, lead: Callable[[int], int], m_lag: int
-) -> _Row:
+def _sparse_form_half(pvec: List[int], n: int, lead: Callable[[int], int]) -> _Row:
     """(half, tails) of row n, from p(0..n) in ``pvec``: half[m] =
     counts(m,n) and tails[m] = sum_{j>=m} counts(j,n) for
-    0 <= m <= max(n - m_lag, 0), as new lists, where for m >= 0
+    0 <= m <= max(n - lead(1), 0), as new lists, where for m >= 0
 
         sum_n counts(m,n) q^n = (1/(q)_inf) sum_{k>=1} (-1)^{k-1} q^{lead(k)+mk} (1-q^k);
 
-    ``lead`` must be increasing with lead(1) = m_lag, so the k = 1 slice
-    spans the whole half."""
+    ``lead`` must be increasing, so the k = 1 slice spans the whole half."""
     # tails[m] = sum_k (-1)^{k-1} p(a - mk); half[m] = tails[m] - tails[m + 1]
-    tails = [0] * (max(n - m_lag, 0) + 1)
+    tails = [0] * (max(n - lead(1), 0) + 1)
     k = 1
     while (a := n - lead(k)) >= 0:
         s = pvec[a::-k]  # p(a - mk) for m = 0, 1, ..., a // k
@@ -125,7 +122,8 @@ def _column(
 
     with e = lead(k) + mk and P(q) = 1/(q)_inf, so each k adds two
     shifted slices of p: the column twin of :func:`_sparse_form_half`.
-    The rank's N(0, 0) = 1 convention is left to the caller."""
+    counts(0, 0) is 1, the empty partition, which the rank's form leaves
+    out."""
     col = [0] * (n_max + 1)
     k = 1
     while (e := lead(k) + m * k) <= n_max:
@@ -133,74 +131,37 @@ def _column(
         col[e:] = map(plus, col[e:], pvec)
         col[e + k :] = map(minus, col[e + k :], pvec)
         k += 1
+    if m == 0:
+        col[0] = 1
     return col
 
 
-def _p_upto(n_max: int, pvec: List[int] | None) -> List[int]:
-    """``pvec``, checked to hold p(0..n_max), or p(0..n_max) when it is None."""
-    if pvec is None:
-        return partition_numbers(n_max)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if len(pvec) <= n_max:
-        raise ValueError(f"pvec holds p(0..{len(pvec) - 1}), short of n_max={n_max}")
-    return pvec
-
-
-def _sparse_form_rows(
-    n_max: int,
-    lead: Callable[[int], int],
-    m_lag: int,
-    pvec: List[int] | None,
-    n_from: int,
+def _rows(
+    lead: Callable[[int], int], pvec: List[int], n_from: int, n_max: int
 ) -> Iterator[_Row]:
-    """:func:`_sparse_form_half` for n = n_from..n_max, made as they are
-    read; p(0..n_max), and so the n_max and n_from checks, come at call
-    time."""
-    if n_from < 0:
-        raise ValueError("n_from must be nonnegative")
-    pvec = _p_upto(n_max, pvec)
-    return (
-        _sparse_form_half(pvec, n, lead, m_lag) for n in range(n_from, n_max + 1)
-    )
+    """:func:`_sparse_form_half` for n = n_from..n_max (n_from >= 0), from
+    p(0..n_max) (or more) in ``pvec``, made as they are read.  Row 0 is
+    ([1], [1]), the empty partition, which the rank's form leaves out."""
+    for n in range(n_from, n_max + 1):
+        yield _sparse_form_half(pvec, n, lead) if n else ([1], [1])
 
 
-def _crank_rows(n_max: int, pvec: List[int] | None, n_from: int) -> Iterator[_Row]:
-    """(half, tails) of the crank rows n = n_from..n_max, from Garvan's
-    form with lead(k) = k(k-1)/2."""
-    return _sparse_form_rows(n_max, _crank_lead, 0, pvec, n_from)
-
-
-def _rank_rows(n_max: int, pvec: List[int] | None, n_from: int) -> Iterator[_Row]:
-    """(half, tails) of the rank rows n = n_from..n_max, from the
-    Atkin--Swinnerton-Dyer form with lead(k) = k(3k-1)/2; row 0 is
-    ([1], [1]), the empty partition."""
-    rows = _sparse_form_rows(n_max, _rank_lead, 1, pvec, n_from)
-    return rows if n_from else chain([([1], [1])], islice(rows, 1, None))
-
-
-def crank_halves(
-    n_max: int, pvec: List[int] | None = None, n_from: int = 0
-) -> Iterator[List[int]]:
-    """M(m,n) for 0 <= m <= n, one list per n = n_from..n_max (n_from >= 0),
-    made as they are read, from Garvan's form with lead(k) = k(k-1)/2.
-    ``pvec`` may pass p(0..n_max) (or more) to spare computing it again."""
-    return (half for half, _ in _crank_rows(n_max, pvec, n_from))
+def crank_halves(n_max: int) -> Iterator[List[int]]:
+    """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
+    read, from Garvan's form with lead(k) = k(k-1)/2."""
+    return (half for half, _ in _rows(_crank_lead, partition_numbers(n_max), 0, n_max))
 
 
 def crank_half(n: int) -> List[int]:
     """M(m,n) for 0 <= m <= n, row n of :func:`crank_halves` alone."""
-    return _sparse_form_half(partition_numbers(n), n, _crank_lead, 0)[0]
+    return _sparse_form_half(partition_numbers(n), n, _crank_lead)[0]
 
 
-def rank_halves(
-    n_max: int, pvec: List[int] | None = None, n_from: int = 0
-) -> Iterator[List[int]]:
-    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = n_from..n_max,
-    made as they are read, from the Atkin--Swinnerton-Dyer form with
-    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition.  ``pvec`` and
-    ``n_from`` are as for :func:`crank_halves`."""
-    return (half for half, _ in _rank_rows(n_max, pvec, n_from))
+def rank_halves(n_max: int) -> Iterator[List[int]]:
+    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
+    as they are read, from the Atkin--Swinnerton-Dyer form with
+    lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition."""
+    return (half for half, _ in _rows(_rank_lead, partition_numbers(n_max), 0, n_max))
 
 
 def _collect(stat: str, n_max: int, halves: Iterable[List[int]]) -> DistributionTable:
@@ -292,8 +253,8 @@ def ospt(
         raise ValueError("n_max must be >= 1")
     if any(t is not None and t.n_max < n_max for t in (cranks, ranks)):
         raise ValueError("supplied tables do not cover n_max")
-    if pvec is not None:
-        _p_upto(n_max, pvec)
+    if pvec is not None and len(pvec) <= n_max:
+        raise ValueError(f"pvec holds p(0..{len(pvec) - 1}), short of n_max={n_max}")
     out = [0] * (n_max + 1)
     for table, lead, sign in ((cranks, _crank_lead, 1), (ranks, _rank_lead, -1)):
         if table is None:

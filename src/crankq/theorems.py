@@ -31,11 +31,12 @@ p(n) - tails[m + 1] for m >= 0, with no prefix sum.  THM1.7 and all three
 point sets of COR1.8 (both halves of the window and the mirror) are the
 row's descents M(m, n) >= M(m + 1, n); the window compares them once, and
 each scan maps the failing positions back to its own m in its own order.
-:func:`verify` runs a pass for its one row scan from row n_from - 1;
-:func:`verify_suite` runs one pass from row 0 for all seven, then the
-other scans, and returns the reports in ``SUITE_ORDER``.  Rows live one
-window at a time, so memory is O(N) big ints, where the dense tables held
-O(N^2).
+:func:`verify` and :func:`verify_suite` share one runner, ``_run``,
+which sends the row scans among its jobs to one pass, runs the other
+scans, and returns the reports in job order.  The pass starts at the row
+before the least n_from of its scans: row n_from - 1 for a lone row scan,
+row 0 for the suite, whose THM1.2 starts at 0.  Rows live one window at a
+time, so memory is O(N) big ints, where the dense tables held O(N^2).
 
 The one-dimensional scans read p, ospt, N(0, .), N(1, .) and M(0, .),
 cached by :class:`VerifyContext`, and build the rest as they go: each
@@ -258,23 +259,25 @@ class VerifyContext:
     def pvec(self, n_max: int) -> List[int]:
         return self._cached("pvec", n_max, statistics.partition_numbers)
 
-    def stream(
-        self, n_max: int, scans: Sequence[_RowScan], first: int = 0
-    ) -> None:
-        """One pass over the crank and rank rows n = first..n_max; no table
-        is built.
+    def stream(self, n_max: int, scans: Sequence[_RowScan]) -> None:
+        """One pass over the crank and rank rows that ``scans`` read; no
+        table is built.
 
         Each (n_from, n_to, scan) in ``scans`` is a row scan: it is called
         with the :class:`_Window` of rows n - 1 and n once for each
-        n_from <= n <= n_to, in order; every n_from must be above ``first``
-        unless ``first`` is 0.
+        n_from <= n <= n_to, in order.  The pass makes rows
+        max(n_from - 1, 0)..n_max for the least n_from, so each scan's
+        first window holds its row n_from - 1; with no scans it makes none.
         """
+        if not scans:
+            return
+        first = max(min(n_from for n_from, _, _ in scans) - 1, 0)
         pvec = self.pvec(n_max)
         crank_prev: List[int] = []  # row -1, zero everywhere
         rank_prev: List[int] = []
         rows = zip(
-            statistics._crank_rows(n_max, pvec, first),
-            statistics._rank_rows(n_max, pvec, first),
+            statistics._rows(statistics._crank_lead, pvec, first, n_max),
+            statistics._rows(statistics._rank_lead, pvec, first, n_max),
         )
         for n, ((crank, crank_tails), (rank, rank_tails)) in enumerate(rows, first):
             window = _Window(
@@ -290,14 +293,11 @@ class VerifyContext:
         return self._cached("ospt", n_max, statistics.ospt)
 
     def rank_m0(self, n_max: int) -> List[int]:
-        """N(0, 0..n_max) without a row; N(0, 0) = 1, the empty partition."""
-
-        def build(n: int) -> List[int]:
-            col = statistics._column(statistics._rank_lead, 0, self.pvec(n), n)
-            col[0] = 1
-            return col
-
-        return self._cached("rank_m0", n_max, build)
+        """N(0, 0..n_max) without a row."""
+        return self._cached(
+            "rank_m0", n_max,
+            lambda n: statistics._column(statistics._rank_lead, 0, self.pvec(n), n),
+        )
 
     def rank_m1(self, n_max: int) -> List[int]:
         """N(1, 0..n_max) without a row."""
@@ -797,14 +797,6 @@ class _Job:
             raise RangeError(f"n_to={n_to} is below the scan start {n_from}")
         return cls(spec, n_from, n_to, params)
 
-    def run(self, ctx: VerifyContext) -> None:
-        """Run a scan that is not a row scan."""
-        self.spec.run(ctx, self.rec, self.n_from, self.n_to, **self.params)
-
-    def row_scan(self) -> _RowScan:
-        """A row scan, as :meth:`VerifyContext.stream` takes it."""
-        return self.n_from, self.n_to, partial(self.spec.run, self.rec)
-
     def report(self) -> VerificationReport:
         if self.rec.checked == 0:
             raise RangeError(
@@ -822,6 +814,23 @@ class _Job:
         )
 
 
+def _run(
+    jobs: List[_Job], n_to: int, ctx: Optional[VerifyContext]
+) -> List[VerificationReport]:
+    """Run the jobs, the row scans among them in one streamed pass and then
+    the others, and return their reports in job order."""
+    if ctx is None:
+        ctx = VerifyContext()
+    ctx.stream(
+        n_to,
+        [(j.n_from, j.n_to, partial(j.spec.run, j.rec)) for j in jobs if j.spec.rows],
+    )
+    for job in jobs:
+        if not job.spec.rows:
+            job.spec.run(ctx, job.rec, job.n_from, job.n_to, **job.params)
+    return [job.report() for job in jobs]
+
+
 def verify(
     theorem_id: str,
     n_to: int,
@@ -834,14 +843,7 @@ def verify(
     parameters (``k_max``, ``m_max``).  Defaults are the stated ranges.
     A row scan gets a streamed pass of its own, from row n_from - 1 on.
     """
-    job = _Job.make(theorem_id, n_to, overrides)
-    if ctx is None:
-        ctx = VerifyContext()
-    if job.spec.rows:
-        ctx.stream(n_to, [job.row_scan()], first=max(job.n_from - 1, 0))
-    else:
-        job.run(ctx)
-    return job.report()
+    return _run([_Job.make(theorem_id, n_to, overrides)], n_to, ctx)[0]
 
 
 def verify_suite(
@@ -852,14 +854,7 @@ def verify_suite(
     need = max(spec.stated_n_from for spec in REGISTRY.values())
     if n_to < need:
         raise RangeError(f"the full suite needs n_to >= {need}, got {n_to}")
-    if ctx is None:
-        ctx = VerifyContext()
-    jobs = [_Job.make(tid, n_to, None) for tid in SUITE_ORDER]
-    ctx.stream(n_to, [job.row_scan() for job in jobs if job.spec.rows])
-    for job in jobs:
-        if not job.spec.rows:
-            job.run(ctx)
-    return [job.report() for job in jobs]
+    return _run([_Job.make(tid, n_to, None) for tid in SUITE_ORDER], n_to, ctx)
 
 
 def find_threshold(

@@ -411,26 +411,57 @@ def test_row_scan_streams_without_building_a_table(theorem_id, monkeypatch):
     assert report.passed and report.checked > 0
 
 
-@pytest.mark.parametrize("theorem_id", ROW_SCANS)
-def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatch):
+def _count_rows_made(monkeypatch):
+    """The n of every row the sparse form makes from now on, in order."""
     built = []
     real = statistics._sparse_form_half
     monkeypatch.setattr(
         statistics,
         "_sparse_form_half",
-        lambda pvec, n, *args: built.append(n) or real(pvec, n, *args),
+        lambda pvec, n, lead: built.append(n) or real(pvec, n, lead),
     )
+    return built
+
+
+@pytest.mark.parametrize("theorem_id", ROW_SCANS)
+def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatch):
+    built = _count_rows_made(monkeypatch)
     for n_from in (1, 2, 45, 90):
-        # the same scan fed by a pass over every row from 0
+        # the same scan fed by a pass over every row from 0, which a no-op
+        # scan from row 0 forces
         job = theorems._Job.make(theorem_id, 90, {"n_from": n_from})
-        VerifyContext().stream(90, [job.row_scan()])
+        scan = (job.n_from, job.n_to, functools.partial(job.spec.run, job.rec))
+        VerifyContext().stream(90, [(0, 90, lambda w: None), scan])
+        assert min(built) == 1  # row 0 is the empty partition's, made by no call
         built.clear()
         ctx = VerifyContext()
         report = verify(theorem_id, 90, overrides={"n_from": n_from}, ctx=ctx)
         assert report.as_dict() == job.report().as_dict()
-        first = max(report.n_from - 1, 0)
+        first = max(report.n_from - 1, 1)
         assert min(built) == first and max(built) == 90
+        built.clear()
     assert ctx.ospt(90) == statistics.ospt(90)
+
+
+def test_stream_starts_at_the_row_before_the_least_n_from(monkeypatch):
+    built = _count_rows_made(monkeypatch)
+    windows = []
+    ctx = VerifyContext()
+    ctx.stream(60, [(45, 60, windows.append), (2, 50, windows.append)])
+    # rows 1..60 once for each statistic
+    assert built == [n for n in range(1, 61) for _ in range(2)]
+    assert [w.n for w in windows] == sorted([*range(2, 51), *range(45, 61)])
+    built.clear()
+    ctx.stream(60, [])
+    assert built == []
+
+
+def test_suite_makes_each_row_once(monkeypatch):
+    # one shared pass: each statistic's rows 1..N once; row 0 is the empty
+    # partition's, which no call makes
+    built = _count_rows_made(monkeypatch)
+    verify_suite(100)
+    assert built == [n for n in range(1, 101) for _ in range(2)]
 
 
 @pytest.mark.parametrize("n_to", [44, 45, 100, 250])
@@ -462,15 +493,12 @@ def test_one_dimensional_routes_match_one_streamed_pass():
     # moments and the columns m = 0, 1 read off one pass, for every n <= N
     n_max = 3000
     ctx = VerifyContext()
-    pvec = ctx.pvec(n_max)
 
     def moment(half):
         return sum(m * c for m, c in enumerate(half))
 
     o, n0, n1 = [], [], []
-    for c, r in zip(
-        statistics.crank_halves(n_max, pvec), statistics.rank_halves(n_max, pvec)
-    ):
+    for c, r in zip(statistics.crank_halves(n_max), statistics.rank_halves(n_max)):
         o.append(moment(c) - moment(r))
         n0.append(r[0])
         n1.append(r[1] if len(r) > 1 else 0)
