@@ -139,9 +139,15 @@ def _column(
 def _rows(
     lead: Callable[[int], int], pvec: List[int], n_from: int, n_max: int
 ) -> Iterator[_Row]:
-    """:func:`_sparse_form_half` for n = n_from..n_max (n_from >= 0), from
+    """:func:`_sparse_form_half` for n = n_from..n_max, from
     p(0..n_max) (or more) in ``pvec``, made as they are read.  Row 0 is
-    ([1], [1]), the empty partition, which the rank's form leaves out."""
+    ([1], [1]), the empty partition, which the rank's form leaves out.
+    A short ``pvec`` or a negative ``n_from`` raises at the first row
+    read: either would read p off the wrong end of the list."""
+    if n_from < 0:
+        raise ValueError("n_from must be nonnegative")
+    if len(pvec) <= n_max:
+        raise ValueError(f"pvec holds p(0..{len(pvec) - 1}), short of n_max={n_max}")
     for n in range(n_from, n_max + 1):
         yield _sparse_form_half(pvec, n, lead) if n else ([1], [1])
 

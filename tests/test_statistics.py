@@ -195,7 +195,21 @@ def test_streams_share_one_p_vector(monkeypatch):
     assert built == []
 
 
-def test_passed_p_vector_must_cover_n_max():
+@pytest.mark.parametrize("build", [crank_halves, rank_halves])
+def test_passed_p_vector_must_cover_n_max(build):
+    # the halves take no p vector; the row generator they share does
+    lead = _crank_lead if build is crank_halves else _rank_lead
+    with pytest.raises(ValueError):
+        list(_rows(lead, partition_numbers(9), 0, 10))
+    with pytest.raises(ValueError):
+        list(_rows(lead, partition_numbers(9), 5, 10))
+    with pytest.raises(ValueError):
+        build(-1)
+    # a row below 0 would be read off p(-1), the last entry of the list
+    with pytest.raises(ValueError):
+        list(_rows(lead, partition_numbers(3), -1, 3))
+    with pytest.raises(ValueError):
+        list(_rows(lead, partition_numbers(10), -2, 10))
     with pytest.raises(ValueError):
         ospt(10, pvec=partition_numbers(9))
 
