@@ -15,16 +15,18 @@ the right half (m >= 0) of row n is
 so each k-term adds the strided reverse slice p(a), p(a-k), p(a-2k), ...
 to one running list, the tail sums acc[m] = sum_{j>=m} counts(j,n), whose
 first differences are the half.
-One generator, ``_rows``, yields each half with its tail sums one row at
-a time: the theorem scans' streamed pass reads both, :func:`crank_halves`
-and :func:`rank_halves` the halves alone (:func:`crank_half` makes one
-crank row).  Row n costs O(n log n) exact big-int additions and O(n)
-memory beside the p(n) vector, and only :func:`crank_table` and
-:func:`rank_table`, which collect the mirrored rows, hold O(n_max^2)
-cells.  The crank's n = 1 convention row (-1, 1), (0, -1), (1, 1) falls
-out of the form without any special-casing; counts(0, 0) = 1, the empty
-partition, is set by ``_rows`` and ``_column``, since the rank's form
-leaves it out.
+Each statistic's rows come from one row source, ``_row_source``, which
+makes a half with its tail sums when it is first read and keeps only the
+two highest rows read: the theorem scans' streamed pass reads both, so
+it makes only the rows of the statistics its scans read, and
+:func:`crank_halves` and :func:`rank_halves` read the halves alone
+(:func:`crank_half` reads one crank row).  Row n costs O(n log n) exact
+big-int additions and O(n) memory beside the p(n) vector, and only
+:func:`crank_table` and :func:`rank_table`, which collect the mirrored
+rows, hold O(n_max^2) cells.  The crank's n = 1 convention row (-1, 1),
+(0, -1), (1, 1) falls out of the form without any special-casing;
+counts(0, 0) = 1, the empty partition, is set by ``_row_source`` and
+``_column``, since the rank's form leaves it out.
 
 A column needs no row either: counts(m, .) for one m is the same form
 read down the n-axis, where each k adds two shifted slices of p
@@ -47,7 +49,7 @@ second route for the crank table and its columns.
 from __future__ import annotations
 
 from operator import add, sub
-from typing import Callable, Iterable, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .series import TruncatedSeries, geom_divide, inv_pochhammer, vec_add
 from .tables import CumulativeTable, DistributionTable, cumulative
@@ -136,38 +138,55 @@ def _column(
     return col
 
 
-def _rows(
-    lead: Callable[[int], int], pvec: List[int], n_from: int, n_max: int
-) -> Iterator[_Row]:
-    """:func:`_sparse_form_half` for n = n_from..n_max, from
-    p(0..n_max) (or more) in ``pvec``, made as they are read.  Row 0 is
-    ([1], [1]), the empty partition, which the rank's form leaves out.
-    A short ``pvec`` or a negative ``n_from`` raises at the first row
-    read: either would read p off the wrong end of the list."""
-    if n_from < 0:
-        raise ValueError("n_from must be nonnegative")
-    if len(pvec) <= n_max:
-        raise ValueError(f"pvec holds p(0..{len(pvec) - 1}), short of n_max={n_max}")
-    for n in range(n_from, n_max + 1):
-        yield _sparse_form_half(pvec, n, lead) if n else ([1], [1])
+def _row_source(lead: Callable[[int], int], pvec: List[int]) -> Callable[[int], _Row]:
+    """Row n of the sparse form with this ``lead``, as
+    :func:`_sparse_form_half` gives it, from p(0..n) (or more) in ``pvec``:
+    each row is made on its first read, and only the rows top - 1 and top
+    are kept, for the highest row top read so far.  Row 0 is ([1], [1]),
+    the empty partition, which the rank's form leaves out, and row -1 is
+    ([], []), zero everywhere.  A row past the end of ``pvec`` or below -1
+    raises: either would read p off the wrong end of the list."""
+    kept: Dict[int, _Row] = {}
+
+    def row(n: int) -> _Row:
+        made = kept.get(n)
+        if made is None:
+            if not -1 <= n < len(pvec):
+                raise ValueError(f"row {n} is below -1 or past p(0..{len(pvec) - 1})")
+            if n > 0:
+                made = _sparse_form_half(pvec, n, lead)
+            else:
+                made = ([1], [1]) if n == 0 else ([], [])
+            kept[n] = made
+            top = max(kept)
+            for old in [k for k in kept if k < top - 1]:
+                del kept[old]
+        return made
+
+    return row
+
+
+def _halves(lead: Callable[[int], int], n_max: int) -> Iterator[List[int]]:
+    row = _row_source(lead, partition_numbers(n_max))
+    return (row(n)[0] for n in range(n_max + 1))
 
 
 def crank_halves(n_max: int) -> Iterator[List[int]]:
     """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
     read, from Garvan's form with lead(k) = k(k-1)/2."""
-    return (half for half, _ in _rows(_crank_lead, partition_numbers(n_max), 0, n_max))
+    return _halves(_crank_lead, n_max)
 
 
 def crank_half(n: int) -> List[int]:
     """M(m,n) for 0 <= m <= n, row n of :func:`crank_halves` alone."""
-    return _sparse_form_half(partition_numbers(n), n, _crank_lead)[0]
+    return _row_source(_crank_lead, partition_numbers(n))(n)[0]
 
 
 def rank_halves(n_max: int) -> Iterator[List[int]]:
     """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
     as they are read, from the Atkin--Swinnerton-Dyer form with
     lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition."""
-    return (half for half, _ in _rows(_rank_lead, partition_numbers(n_max), 0, n_max))
+    return _halves(_rank_lead, n_max)
 
 
 def _collect(stat: str, n_max: int, halves: Iterable[List[int]]) -> DistributionTable:
@@ -233,14 +252,6 @@ def _add_moment_numerator(c: List[int], lead: Callable[[int], int], sign: int) -
         k += 1
 
 
-def positive_moment(table: DistributionTable, n: int) -> int:
-    """sum_{m >= 1} m * counts[m, n] for one row."""
-    lo = table.min_m[n]
-    row = table.rows[n]
-    start = max(1 - lo, 0)
-    return sum((lo + i) * c for i, c in enumerate(row[start:], start=start))
-
-
 def ospt(
     n_max: int,
     cranks: DistributionTable | None = None,
@@ -250,10 +261,9 @@ def ospt(
     """ospt(n) for 1 <= n <= n_max: first positive crank moment minus first
     positive rank moment.  Index 0 of the result is 0 by convention.
 
-    Precomputed tables covering n_max may be passed to avoid rebuilding; a
-    statistic with no table passed adds its positive-moment numerator, and
-    the sum is divided by (q)_inf once, so no row is made for it.  No
-    route reads p(n); a ``pvec`` passed is still checked to cover n_max.
+    Each moment is its Andrews--Chan--Kim numerator, and their difference
+    is divided by (q)_inf once, so no row and no p(n) is read.  Tables or
+    a p vector passed are only checked to cover n_max.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -262,15 +272,9 @@ def ospt(
     if pvec is not None and len(pvec) <= n_max:
         raise ValueError(f"pvec holds p(0..{len(pvec) - 1}), short of n_max={n_max}")
     out = [0] * (n_max + 1)
-    for table, lead, sign in ((cranks, _crank_lead, 1), (ranks, _rank_lead, -1)):
-        if table is None:
-            _add_moment_numerator(out, lead, sign)
-    _divide_by_q_inf(out)
-    for table, sign in ((cranks, 1), (ranks, -1)):
-        if table is not None:
-            for n in range(1, n_max + 1):
-                out[n] += sign * positive_moment(table, n)
-    return out
+    _add_moment_numerator(out, _crank_lead, 1)
+    _add_moment_numerator(out, _rank_lead, -1)
+    return _divide_by_q_inf(out)
 
 
 __all__ = [
@@ -281,7 +285,6 @@ __all__ = [
     "crank_table",
     "rank_table",
     "partition_numbers",
-    "positive_moment",
     "ospt",
     "cumulative",
     "DistributionTable",

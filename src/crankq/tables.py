@@ -4,8 +4,7 @@ A table holds, for each n up to ``n_max``, the counts of a statistic over
 its full m-range: [-n, n] for the crank, [-(n-1), n-1] for the rank (row 0
 is the empty-partition row {0: 1} for both).  Counts outside the stored
 range are zero by construction; :meth:`DistributionTable.get` (one cell)
-and :meth:`DistributionTable.row_slice` (a run of cells in one row) say so.
-:func:`slice_row` is the zero-padded read of a single row, table or not.
+and :func:`slice_row` (a run of cells in one row, table or not) say so.
 """
 
 from __future__ import annotations
@@ -46,16 +45,6 @@ class DistributionTable:
         if idx < 0 or idx >= len(self.rows[n]):
             return 0
         return self.rows[n][idx]
-
-    def row_slice(self, n: int, m_lo: int, m_hi: int) -> List[int]:
-        """The counts at (m, n) for m_lo <= m < m_hi, as a new list; zero
-        outside the stored m-range or for n < 0, empty when m_hi <= m_lo."""
-        width = max(m_hi - m_lo, 0)
-        if n < 0:
-            return [0] * width
-        if n > self.n_max:
-            raise IndexError(f"n={n} beyond table n_max={self.n_max}")
-        return slice_row(self.rows[n], self.min_m[n], m_lo, m_hi)
 
     def m_range(self, n: int) -> range:
         lo = self.min_m[n]

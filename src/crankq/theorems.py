@@ -21,10 +21,14 @@ The two-dimensional scans (THM1.1, THM1.2, THM1.6, THM1.7, COR1.8,
 EQ9.5, EQ9.6) build no table.  Each is a row scan, a plain function of
 the record and one :class:`_Window` (p(n), rows n and n - 1), which one
 streamed pass, :meth:`VerifyContext.stream`, calls once for every n in
-its range: the pass makes the right halves (m >= 0) of the crank and rank
-rows n = 0, 1, ... from one p(0..N), together with their tail sums
-tails[m] = sum_{j >= m} counts(j, n) that the sparse forms in
-:mod:`crankq.statistics` compute on the way.  No row is mirrored: by
+its range.  The window reads the right halves (m >= 0) of the crank and
+rank rows, with their tail sums tails[m] = sum_{j >= m} counts(j, n)
+that the sparse forms in :mod:`crankq.statistics` compute on the way,
+from one row source per statistic, which makes a row from one p(0..N)
+when a scan first reads it.  So a pass makes only the rows its scans
+read: THM1.1 and THM1.2 read rank rows, THM1.6, THM1.7 and COR1.8 crank
+rows, EQ9.5 and EQ9.6 both, and only THM1.1 and THM1.6 read row
+n_from - 1.  No row is mirrored: by
 symmetry a scan reads M(m, n) at m < 0 as M(-m, n), and the cumulative
 scans EQ9.5 and EQ9.6 read le(m, n) as tails[-m] for m <= 0 and as
 p(n) - tails[m + 1] for m >= 0, with no prefix sum.  THM1.7 and all three
@@ -33,10 +37,9 @@ row's descents M(m, n) >= M(m + 1, n); the window compares them once, and
 each scan maps the failing positions back to its own m in its own order.
 :func:`verify` and :func:`verify_suite` share one runner, ``_run``,
 which sends the row scans among its jobs to one pass, runs the other
-scans, and returns the reports in job order.  The pass starts at the row
-before the least n_from of its scans: row n_from - 1 for a lone row scan,
-row 0 for the suite, whose THM1.2 starts at 0.  Rows live one window at a
-time, so memory is O(N) big ints, where the dense tables held O(N^2).
+scans, and returns the reports in job order.  Each row source keeps only
+its two highest rows, so memory is O(N) big ints, where the dense tables
+held O(N^2).
 
 The one-dimensional scans read p, ospt, N(0, .), N(1, .) and M(0, .),
 cached by :class:`VerifyContext`, and build the rest as they go: each
@@ -202,20 +205,30 @@ class _Recorder:
         self.checked += len(idx)
 
 
+def _row_part(rows: str, back: int, part: int) -> property:
+    """A window attribute: the half (part 0) or the tail sums (part 1) of
+    row n - ``back`` from the window's row source ``rows``, on each read."""
+    return property(lambda w: getattr(w, rows)(w.n - back)[part])
+
+
 @dataclass
 class _Window:
     """What a row scan is called with for one n: p(n), the right halves
     (m >= 0) of the crank and rank rows n and n - 1, and the tail sums
-    tails[m] = sum_{j >= m} counts(j, n) of rows n."""
+    tails[m] = sum_{j >= m} counts(j, n) of rows n.  Each is read from its
+    statistic's row source on access, so a row no scan reads is not made."""
 
     n: int
     p: int
-    crank: List[int]
-    crank_tails: List[int]
-    rank: List[int]
-    rank_tails: List[int]
-    crank_prev: List[int]
-    rank_prev: List[int]
+    crank_rows: Callable[[int], statistics._Row]
+    rank_rows: Callable[[int], statistics._Row]
+
+    crank = _row_part("crank_rows", 0, 0)
+    crank_tails = _row_part("crank_rows", 0, 1)
+    crank_prev = _row_part("crank_rows", 1, 0)
+    rank = _row_part("rank_rows", 0, 0)
+    rank_tails = _row_part("rank_rows", 0, 1)
+    rank_prev = _row_part("rank_rows", 1, 0)
 
     @cached_property
     def descents(self) -> Tuple[List[int], List[int], List[int]]:
@@ -264,29 +277,21 @@ class VerifyContext:
         table is built.
 
         Each (n_from, n_to, scan) in ``scans`` is a row scan: it is called
-        with the :class:`_Window` of rows n - 1 and n once for each
-        n_from <= n <= n_to, in order.  The pass makes rows
-        max(n_from - 1, 0)..n_max for the least n_from, so each scan's
-        first window holds its row n_from - 1; with no scans it makes none.
+        with the :class:`_Window` of n once for each n_from <= n <= n_to,
+        in order.  Each statistic has one row source for the pass, so a row
+        is made once, when a scan first reads it, and rows no scan reads are
+        not made.
         """
         if not scans:
             return
-        first = max(min(n_from for n_from, _, _ in scans) - 1, 0)
         pvec = self.pvec(n_max)
-        crank_prev: List[int] = []  # row -1, zero everywhere
-        rank_prev: List[int] = []
-        rows = zip(
-            statistics._rows(statistics._crank_lead, pvec, first, n_max),
-            statistics._rows(statistics._rank_lead, pvec, first, n_max),
-        )
-        for n, ((crank, crank_tails), (rank, rank_tails)) in enumerate(rows, first):
-            window = _Window(
-                n, pvec[n], crank, crank_tails, rank, rank_tails, crank_prev, rank_prev
-            )
+        crank = statistics._row_source(statistics._crank_lead, pvec)
+        rank = statistics._row_source(statistics._rank_lead, pvec)
+        for n in range(min(n_from for n_from, _, _ in scans), n_max + 1):
+            window = _Window(n, pvec[n], crank, rank)
             for n_from, n_to, scan in scans:
                 if n_from <= n <= n_to:
                     scan(window)
-            crank_prev, rank_prev = crank, rank
 
     def ospt(self, n_max: int) -> List[int]:
         """ospt(0..n_max) (n_max >= 1), without a row."""
@@ -841,7 +846,8 @@ def verify(
 
     ``overrides`` may carry ``n_from`` plus any of the theorem's grid
     parameters (``k_max``, ``m_max``).  Defaults are the stated ranges.
-    A row scan gets a streamed pass of its own, from row n_from - 1 on.
+    A row scan gets a streamed pass of its own, which makes only the rows
+    it reads.
     """
     return _run([_Job.make(theorem_id, n_to, overrides)], n_to, ctx)[0]
 

@@ -10,18 +10,26 @@ from crankq.statistics import (
     _column,
     _crank_lead,
     _rank_lead,
-    _rows,
+    _row_source,
     crank_gf,
     crank_half,
     crank_halves,
     crank_table,
     ospt,
     partition_numbers,
-    positive_moment,
     rank_halves,
     rank_table,
 )
-from crankq.tables import cumulative
+from crankq.tables import cumulative, slice_row
+
+
+def positive_moment(table, n):
+    """sum_{m >= 1} m * counts[m, n] for one row of a dense table: the
+    second route that :func:`ospt`'s numerators are checked against."""
+    lo = table.min_m[n]
+    row = table.rows[n]
+    start = max(1 - lo, 0)
+    return sum((lo + i) * c for i, c in enumerate(row[start:], start=start))
 
 
 def test_crank_gf_low_coefficients():
@@ -157,7 +165,8 @@ def test_halves_are_the_right_halves_of_the_tables(n_max):
 def test_halves_from_a_later_row_are_the_tail(build, n_from):
     # the rows from n_from on, made off a p vector longer than they need
     lead = _crank_lead if build is crank_halves else _rank_lead
-    rows = list(_rows(lead, partition_numbers(45), n_from, 40))
+    row = _row_source(lead, partition_numbers(45))
+    rows = [row(n) for n in range(n_from, 41)]
     assert [half for half, _ in rows] == list(build(40))[n_from:]
     for half, tails in rows:
         assert tails == [sum(half[m:]) for m in range(len(half))]
@@ -165,17 +174,20 @@ def test_halves_from_a_later_row_are_the_tail(build, n_from):
 
 @pytest.mark.parametrize("n_max", [1, 2, 3, 50, 300])
 def test_streamed_ospt_matches_the_table_route(n_max):
+    # the numerators against the moments summed off the dense tables;
+    # tables passed, as wide as n_max or wider, change nothing
     cranks, ranks = crank_table(n_max), rank_table(n_max)
-    want = ospt(n_max, cranks=cranks, ranks=ranks)
+    want = [0] + [
+        positive_moment(cranks, n) - positive_moment(ranks, n)
+        for n in range(1, n_max + 1)
+    ]
     assert ospt(n_max) == want
+    assert ospt(n_max, cranks=cranks, ranks=ranks) == want
     assert ospt(n_max, cranks=cranks) == want
     assert ospt(n_max, ranks=ranks) == want
-    # tables wider than n_max are read only up to row n_max
     wide_c, wide_r = crank_table(n_max + 3), rank_table(n_max + 3)
     assert ospt(n_max, cranks=wide_c, ranks=wide_r) == want
     assert ospt(n_max, ranks=wide_r) == want
-    for n in range(1, n_max + 1):
-        assert want[n] == positive_moment(cranks, n) - positive_moment(ranks, n)
 
 
 def test_streams_share_one_p_vector(monkeypatch):
@@ -197,19 +209,21 @@ def test_streams_share_one_p_vector(monkeypatch):
 
 @pytest.mark.parametrize("build", [crank_halves, rank_halves])
 def test_passed_p_vector_must_cover_n_max(build):
-    # the halves take no p vector; the row generator they share does
+    # the halves take no p vector; the row source they share does
     lead = _crank_lead if build is crank_halves else _rank_lead
     with pytest.raises(ValueError):
-        list(_rows(lead, partition_numbers(9), 0, 10))
+        _row_source(lead, partition_numbers(9))(10)
+    row = _row_source(lead, partition_numbers(9))
+    assert [row(n)[0] for n in range(5, 10)] == list(build(9))[5:]
     with pytest.raises(ValueError):
-        list(_rows(lead, partition_numbers(9), 5, 10))
+        row(10)
     with pytest.raises(ValueError):
         build(-1)
-    # a row below 0 would be read off p(-1), the last entry of the list
+    # row -1 is zero everywhere; a row below it would be read off p(-1),
+    # the last entry of the list
+    assert _row_source(lead, partition_numbers(3))(-1) == ([], [])
     with pytest.raises(ValueError):
-        list(_rows(lead, partition_numbers(3), -1, 3))
-    with pytest.raises(ValueError):
-        list(_rows(lead, partition_numbers(10), -2, 10))
+        _row_source(lead, partition_numbers(10))(-2)
     with pytest.raises(ValueError):
         ospt(10, pvec=partition_numbers(9))
 
@@ -279,7 +293,7 @@ def test_degenerate_tables():
     assert rc.le(-6, 6) == 0
 
 
-def test_row_slice_zero_pads_like_get():
+def test_slice_row_zero_pads_like_get():
     cranks, ranks = crank_table(6), rank_table(6)
     cases = [
         (4, -9, -6),  # wholly below the stored m-range
@@ -287,21 +301,18 @@ def test_row_slice_zero_pads_like_get():
         (4, -7, 8),  # straddles it on both sides
         (4, 2, 6),  # straddles its top
         (0, -2, 3),  # row 0
-        (-1, -2, 3),  # n < 0
-        (-5, 0, 1),
         (4, 2, 2),  # empty
         (4, 3, 1),  # empty, m_hi below m_lo
         (6, -6, 7),
     ]
     for table in (cranks, ranks):
         for n, m_lo, m_hi in cases:
-            got = table.row_slice(n, m_lo, m_hi)
+            got = slice_row(table.rows[n], table.min_m[n], m_lo, m_hi)
             assert got == [table.get(m, n) for m in range(m_lo, m_hi)], (n, m_lo, m_hi)
-        with pytest.raises(IndexError):
-            table.row_slice(7, 0, 1)
-    assert cranks.row_slice(4, -7, 8) == [0] * 3 + cranks.rows[4] + [0] * 3
-    assert cranks.row_slice(4, 2, 2) == [] and ranks.row_slice(-1, 3, 1) == []
+    # an empty row, as row -1 is read, is zero everywhere
+    assert slice_row([], 0, -2, 3) == [0] * 5 and slice_row([], 0, 3, 1) == []
+    assert slice_row(cranks.rows[4], -4, -7, 8) == [0] * 3 + cranks.rows[4] + [0] * 3
     # a new list: writing to it leaves the table as it was
-    row = cranks.row_slice(4, -4, 5)
+    row = slice_row(cranks.rows[4], -4, -4, 5)
     row[0] += 1
     assert cranks.get(-4, 4) == 1

@@ -412,33 +412,56 @@ def test_row_scan_streams_without_building_a_table(theorem_id, monkeypatch):
 
 
 def _count_rows_made(monkeypatch):
-    """The n of every row the sparse form makes from now on, in order."""
+    """(statistic, n) of every row the sparse form makes from now on, in
+    order."""
     built = []
     real = statistics._sparse_form_half
-    monkeypatch.setattr(
-        statistics,
-        "_sparse_form_half",
-        lambda pvec, n, lead: built.append(n) or real(pvec, n, lead),
-    )
+
+    def count(pvec, n, lead):
+        built.append(("crank" if lead is statistics._crank_lead else "rank", n))
+        return real(pvec, n, lead)
+
+    monkeypatch.setattr(statistics, "_sparse_form_half", count)
     return built
+
+
+def _each_row_once(stats, first, last):
+    """``sorted(built)`` when each row first..last of each of ``stats`` is
+    made once; row 0 is the empty partition's, which no call makes."""
+    return [(stat, n) for stat in sorted(stats) for n in range(max(first, 1), last + 1)]
+
+
+# The statistics each row scan reads; only THM1.1 and THM1.6 read row n - 1.
+_ROWS_READ = {
+    "THM1.1": ("rank",), "THM1.2": ("rank",),
+    "THM1.6": ("crank",), "THM1.7": ("crank",), "COR1.8": ("crank",),
+    "EQ9.5": ("crank", "rank"), "EQ9.6": ("crank", "rank"),
+}
+_READS_PREV = ("THM1.1", "THM1.6")
+
+
+def _read_both_rows(w):
+    """A row scan that reads rows n - 1 and n of both statistics."""
+    return w.crank_prev, w.crank, w.crank_tails, w.rank_prev, w.rank, w.rank_tails
 
 
 @pytest.mark.parametrize("theorem_id", ROW_SCANS)
 def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatch):
     built = _count_rows_made(monkeypatch)
-    for n_from in (1, 2, 45, 90):
-        # the same scan fed by a pass over every row from 0, which a no-op
-        # scan from row 0 forces
+    for n_from in (0, 1, 2, 45, 90):
+        # the same scan fed by a pass that reads every row of both
+        # statistics from row 0 on, which a second scan forces
         job = theorems._Job.make(theorem_id, 90, {"n_from": n_from})
         scan = (job.n_from, job.n_to, functools.partial(job.spec.run, job.rec))
-        VerifyContext().stream(90, [(0, 90, lambda w: None), scan])
-        assert min(built) == 1  # row 0 is the empty partition's, made by no call
+        VerifyContext().stream(90, [(0, 90, _read_both_rows), scan])
+        assert sorted(built) == _each_row_once(("crank", "rank"), 0, 90)
         built.clear()
         ctx = VerifyContext()
         report = verify(theorem_id, 90, overrides={"n_from": n_from}, ctx=ctx)
         assert report.as_dict() == job.report().as_dict()
-        first = max(report.n_from - 1, 1)
-        assert min(built) == first and max(built) == 90
+        # alone, the scan makes only the rows it reads, each once
+        first = report.n_from - (theorem_id in _READS_PREV)
+        assert sorted(built) == _each_row_once(_ROWS_READ[theorem_id], first, 90)
         built.clear()
     assert ctx.ospt(90) == statistics.ospt(90)
 
@@ -446,22 +469,27 @@ def test_lone_row_scan_streams_from_the_row_before_n_from(theorem_id, monkeypatc
 def test_stream_starts_at_the_row_before_the_least_n_from(monkeypatch):
     built = _count_rows_made(monkeypatch)
     windows = []
+
+    def scan(w):
+        _read_both_rows(w)
+        windows.append(w.n)
+
     ctx = VerifyContext()
-    ctx.stream(60, [(45, 60, windows.append), (2, 50, windows.append)])
-    # rows 1..60 once for each statistic
-    assert built == [n for n in range(1, 61) for _ in range(2)]
-    assert [w.n for w in windows] == sorted([*range(2, 51), *range(45, 61)])
+    ctx.stream(60, [(45, 60, scan), (2, 50, scan)])
+    assert sorted(built) == _each_row_once(("crank", "rank"), 1, 60)
+    assert windows == sorted([*range(2, 51), *range(45, 61)])
     built.clear()
+    # a pass makes no row that no scan reads
     ctx.stream(60, [])
+    ctx.stream(60, [(0, 60, lambda w: None)])
     assert built == []
 
 
 def test_suite_makes_each_row_once(monkeypatch):
-    # one shared pass: each statistic's rows 1..N once; row 0 is the empty
-    # partition's, which no call makes
+    # one shared pass: each statistic's rows 1..N once
     built = _count_rows_made(monkeypatch)
     verify_suite(100)
-    assert built == [n for n in range(1, 101) for _ in range(2)]
+    assert sorted(built) == _each_row_once(("crank", "rank"), 0, 100)
 
 
 @pytest.mark.parametrize("n_to", [44, 45, 100, 250])
@@ -777,10 +805,10 @@ def test_no_family_list_outlives_its_scan():
     assert set(ctx._memo) == {"pvec", "ospt", "rank_m0", "rank_m1", "crank_m0"}
 
 
-def _traced_peak(n_to):
+def _traced_peak(run):
     tracemalloc.start()
     try:
-        verify_suite(n_to)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -789,5 +817,14 @@ def _traced_peak(n_to):
 def test_suite_memory_grows_about_linearly():
     # the dense tables held O(N^2) cells, a ratio of about 7.6 here;
     # streamed rows keep it near 3.3 (one window of rows plus the series)
-    small, large = _traced_peak(200), _traced_peak(600)
+    small = _traced_peak(lambda: verify_suite(200))
+    large = _traced_peak(lambda: verify_suite(600))
+    assert large < 4.5 * small, (small, large)
+
+
+def test_lone_row_scan_memory_grows_about_linearly():
+    # a row source keeps two rows; one that kept every row it made would
+    # hold O(N^2) cells
+    small = _traced_peak(lambda: verify("THM1.6", 200))
+    large = _traced_peak(lambda: verify("THM1.6", 600))
     assert large < 4.5 * small, (small, large)
