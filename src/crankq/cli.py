@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Subcommands: table, verify, identity, family, ospt, threshold,
-plot-unimodal.  Exit codes: 0 all checks passed, 1 at least one violation
-or mismatch, 2 usage error.  CSV output always carries a header row and
-plain decimal integers; JSON output is stable (sorted keys) so runs with
-the same flags are byte-identical.
+plot-unimodal.  Exit codes: 0 all checks passed; 1 a violation or
+mismatch, or an ``--out`` that cannot be written; 2 bad input, which is a
+malformed command line (argparse's usage text) or a value the library
+rejects (one ``error:`` line, mapped by :func:`main` alone).  Each command
+builds its whole result before writing, so an error leaves no partial
+output.  CSV output always carries a header row and plain decimal
+integers; JSON output is stable (sorted keys) so runs with the same flags
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -137,56 +141,22 @@ def _verify_output(reports, fmt: str, out_path: Optional[str]) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.theorem is None and args.suite is None:
-        print("error: give --theorem ID or --suite paper", file=sys.stderr)
-        return 2
-    if args.suite is not None and args.suite != "paper":
-        print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-        return 2
     if args.suite is not None and args.from_n is not None:
         print("error: --from applies to a single theorem, not a suite",
               file=sys.stderr)
         return 2
-    overrides = {}
-    if getattr(args, "from_n", None) is not None:
-        overrides["n_from"] = args.from_n
-    try:
-        if args.suite == "paper":
-            reports = theorems.verify_suite(args.n_max)
-        else:
-            reports = [theorems.verify(args.theorem, args.n_max, overrides or None)]
-    except UnknownTheorem as exc:
-        print(f"error: unknown theorem {exc}", file=sys.stderr)
-        return 2
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.suite == "paper":
+        reports = theorems.verify_suite(args.n_max)
+    else:
+        overrides = None if args.from_n is None else {"n_from": args.from_n}
+        reports = [theorems.verify(args.theorem, args.n_max, overrides)]
     return _verify_output(reports, args.format, args.out)
 
 
 def cmd_identity(args) -> int:
-    try:
-        grids = (
-            [
-                {
-                    key: value
-                    for key, value in (("m", args.m), ("k", args.k))
-                    if value is not None
-                }
-            ]
-            if args.m is not None or args.k is not None
-            else identities.identity_grid(args.id)
-        )
-        results = [
-            identities.check_identity(args.id, args.order, **params)
-            for params in grids
-        ]
-    except UnknownIdentity as exc:
-        print(f"error: unknown identity {exc}", file=sys.stderr)
-        return 2
-    except InvalidParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = {k: v for k, v in (("m", args.m), ("k", args.k)) if v is not None}
+    grid = [params] if params else identities.identity_grid(args.id)
+    results = [identities.check_identity(args.id, args.order, **p) for p in grid]
     if args.format == "json":
         payload = [
             {
@@ -225,11 +195,7 @@ def cmd_family(args) -> int:
         print("error: --n-max must be nonnegative", file=sys.stderr)
         return 2
     name = _FAMILY_CLI_NAMES.get(args.name, args.name)
-    try:
-        series = families.family_series(name, args.k, args.n_max)
-    except InvalidK as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    series = families.family_series(name, args.k, args.n_max)
     coeffs = series.coeffs()
     if args.format == "json":
         payload = {
@@ -259,15 +225,8 @@ def cmd_ospt(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    try:
-        found = theorems.find_threshold(args.theorem, args.n_max)
-        stated = theorems.stated_threshold(args.theorem)
-    except UnknownTheorem as exc:
-        print(f"error: unknown theorem {exc}", file=sys.stderr)
-        return 2
-    except RangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    found = theorems.find_threshold(args.theorem, args.n_max)
+    stated = theorems.stated_threshold(args.theorem)
     if args.format == "json":
         payload = {
             "id": args.theorem,
@@ -312,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="scan one theorem or the whole suite")
-    which = p.add_mutually_exclusive_group()
+    which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--theorem", metavar="ID", default=None)
-    which.add_argument("--suite", metavar="NAME", default=None)
+    which.add_argument("--suite", metavar="NAME", choices=("paper",), default=None)
     p.add_argument("--n-max", type=int, default=DEFAULT_VERIFY_N_MAX)
     p.add_argument("--from", dest="from_n", type=int, default=None,
                    help="override the scan's starting n")
@@ -367,9 +326,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except UnknownTheorem as exc:
+        print(f"error: unknown theorem {exc}", file=sys.stderr)
+    except UnknownIdentity as exc:
+        print(f"error: unknown identity {exc}", file=sys.stderr)
+    except (InvalidK, InvalidParams, RangeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 2
 
 
 if __name__ == "__main__":

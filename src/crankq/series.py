@@ -16,7 +16,8 @@ The coefficient-list kernels the ring operations run on (``vec_add``,
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Union
+from operator import add, sub
+from typing import Iterable, List, Union
 
 from .errors import OrderExceeded
 
@@ -27,13 +28,11 @@ Predicate = Union[str, "TruncatedSeries"]
 
 
 def vec_add(a: list, b: list) -> list:
-    n = min(len(a), len(b))
-    return [a[i] + b[i] for i in range(n)]
+    return list(map(add, a, b))
 
 
 def vec_sub(a: list, b: list) -> list:
-    n = min(len(a), len(b))
-    return [a[i] - b[i] for i in range(n)]
+    return list(map(sub, a, b))
 
 
 def vec_scale(a: list, c: int) -> list:
@@ -75,10 +74,10 @@ class TruncatedSeries:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Sequence[int]):
-        if not coeffs:
-            raise ValueError("a series needs at least the q^0 coefficient")
+    def __init__(self, coeffs: Iterable[int]):
         self._coeffs = list(coeffs)
+        if not self._coeffs:
+            raise ValueError("a series needs at least the q^0 coefficient")
 
     # -- constructors ------------------------------------------------------
 
@@ -108,7 +107,7 @@ class TruncatedSeries:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[int]) -> "TruncatedSeries":
-        return cls(list(coeffs))
+        return cls(coeffs)
 
     @classmethod
     def _wrap(cls, coeffs: List[int]) -> "TruncatedSeries":

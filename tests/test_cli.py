@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import dataclasses
 import hashlib
@@ -10,7 +11,14 @@ import json
 
 import pytest
 
-from crankq import cli, identities
+from crankq import cli, families, identities, theorems
+from crankq.errors import (
+    InvalidK,
+    InvalidParams,
+    RangeError,
+    UnknownIdentity,
+    UnknownTheorem,
+)
 from crankq.series import monomial
 
 
@@ -88,11 +96,24 @@ def test_verify_suite_small(capsys):
     assert all(row[5] == "pass" for row in rows)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify"], "one of the arguments --theorem --suite is required"),
+        (["verify", "--suite", "bogus"], "argument --suite: invalid choice"),
+    ],
+    ids=["no-theorem-or-suite", "unknown-suite"],
+)
+def test_verify_command_line_errors_print_usage(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: crankq verify ")
+    assert f"crankq verify: error: {message}" in captured.err
+
+
 def test_verify_usage_errors(capsys):
-    assert cli.main(["verify"]) == 2
-    capsys.readouterr()
-    assert cli.main(["verify", "--suite", "bogus"]) == 2
-    capsys.readouterr()
     assert cli.main(["verify", "--theorem", "NOPE"]) == 2
     capsys.readouterr()
     assert cli.main(["verify", "--theorem", "THM1.7", "--n-max", "10"]) == 2
@@ -174,6 +195,77 @@ def test_bad_input_exits_2_with_message(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["verify", "--theorem", "NOPE"], "error: unknown theorem 'NOPE'\n"),
+        (["threshold", "--theorem", "NOPE"], "error: unknown theorem 'NOPE'\n"),
+        (["identity", "--id", "NOPE"], "error: unknown identity 'NOPE'\n"),
+    ],
+    ids=["verify", "threshold", "identity"],
+)
+def test_unknown_id_messages(capsys, argv, err):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# each command with the library call behind it that may raise an input error
+LIBRARY_CALLS = {
+    "verify": (["verify", "--theorem", "THM1.7"], theorems, "verify"),
+    "suite": (["verify", "--suite", "paper"], theorems, "verify_suite"),
+    "identity": (["identity", "--id", "T6.1"], identities, "check_identity"),
+    "family": (["family", "--name", "pk", "--k", "4"], families, "family_series"),
+    "threshold": (["threshold", "--theorem", "THM1.9"], theorems, "find_threshold"),
+}
+
+INPUT_ERRORS = [
+    (UnknownTheorem("X"), "error: unknown theorem 'X'\n"),
+    (UnknownIdentity("X"), "error: unknown identity 'X'\n"),
+    (InvalidK("bad k"), "error: bad k\n"),
+    (InvalidParams("bad params"), "error: bad params\n"),
+    (RangeError("bad range"), "error: bad range\n"),
+]
+
+
+def _raising(exc):
+    def call(*args, **kwargs):
+        raise exc
+
+    return call
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+@pytest.mark.parametrize(
+    "exc, err", INPUT_ERRORS, ids=[type(e).__name__ for e, _ in INPUT_ERRORS]
+)
+def test_main_maps_input_errors_to_exit_2(monkeypatch, capsys, command, exc, err):
+    argv, module, name = LIBRARY_CALLS[command]
+    monkeypatch.setattr(module, name, _raising(exc))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+def test_other_errors_propagate(monkeypatch, capsys, command):
+    argv, module, name = LIBRARY_CALLS[command]
+    monkeypatch.setattr(module, name, _raising(ValueError("a bug")))
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
+
+
+def test_no_command_catches_errors():
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    commands = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+    ]
+    assert len(commands) == 7
+    for node in commands:
+        assert not any(isinstance(n, ast.Try) for n in ast.walk(node)), node.name
+
+
 def test_verify_rejects_a_theorem_with_a_suite(capsys):
     code = cli.main(["verify", "--theorem", "THM1.7", "--suite", "paper"])
     captured = capsys.readouterr()
@@ -183,11 +275,12 @@ def test_verify_rejects_a_theorem_with_a_suite(capsys):
     assert "argument --suite: not allowed with argument --theorem" in captured.err
 
 
-def test_io_error_exit_code(capsys):
-    code = cli.main(
-        ["table", "--stat", "crank", "--n-max", "3", "--out", "/no/such/dir/x.csv"]
-    )
+def test_io_error_exit_code(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "x.csv"
+    code = cli.main(["table", "--stat", "crank", "--n-max", "3", "--out", str(path)])
     assert code == 1
+    err = f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+    assert capsys.readouterr() == ("", err)
 
 
 def test_ospt_rows(capsys):

@@ -54,6 +54,17 @@ def test_add_sub_shrink_to_min_order():
     s = series([5, -3, 2])
     assert (s - s).coeffs() == [0, 0, 0]
     assert (series([1, 0, 0]) + series([0, 1])).coeffs() == [1, 1]
+    assert (series([4, 5]) - series([1, 2, 3])).coeffs() == [3, 3]
+    assert (series([1, 2, 3]) - series([4, 5])).coeffs() == [-3, -3]
+
+
+@pytest.mark.parametrize("make", [TruncatedSeries, TruncatedSeries.from_coeffs])
+@pytest.mark.parametrize("empty", [list, tuple, lambda: iter([])],
+                         ids=["list", "tuple", "iterator"])
+def test_a_series_needs_a_coefficient(make, empty):
+    # an iterator is truthy even when empty, so the check reads the copy
+    with pytest.raises(ValueError, match="q\\^0"):
+        make(empty())
 
 
 def test_mul_telescopes_geometric_series():
