@@ -166,15 +166,17 @@ def _row_source(lead: Callable[[int], int], pvec: List[int]) -> Callable[[int], 
     return row
 
 
-def _halves(lead: Callable[[int], int], n_max: int) -> Iterator[List[int]]:
+def _halves(lead: Callable[[int], int], n_max: int, n_from: int) -> Iterator[List[int]]:
+    if n_from < 0:
+        raise ValueError("n_from must be nonnegative")
     row = _row_source(lead, partition_numbers(n_max))
-    return (row(n)[0] for n in range(n_max + 1))
+    return (row(n)[0] for n in range(n_from, n_max + 1))
 
 
-def crank_halves(n_max: int) -> Iterator[List[int]]:
-    """M(m,n) for 0 <= m <= n, one list per n = 0..n_max, made as they are
-    read, from Garvan's form with lead(k) = k(k-1)/2."""
-    return _halves(_crank_lead, n_max)
+def crank_halves(n_max: int, n_from: int = 0) -> Iterator[List[int]]:
+    """M(m,n) for 0 <= m <= n, one list per n = n_from..n_max, made as they
+    are read, from Garvan's form with lead(k) = k(k-1)/2."""
+    return _halves(_crank_lead, n_max, n_from)
 
 
 def crank_half(n: int) -> List[int]:
@@ -182,11 +184,11 @@ def crank_half(n: int) -> List[int]:
     return _row_source(_crank_lead, partition_numbers(n))(n)[0]
 
 
-def rank_halves(n_max: int) -> Iterator[List[int]]:
-    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = 0..n_max, made
-    as they are read, from the Atkin--Swinnerton-Dyer form with
+def rank_halves(n_max: int, n_from: int = 0) -> Iterator[List[int]]:
+    """N(m,n) for 0 <= m <= max(n - 1, 0), one list per n = n_from..n_max,
+    made as they are read, from the Atkin--Swinnerton-Dyer form with
     lead(k) = k(3k-1)/2.  Row 0 is [1], the empty partition."""
-    return _halves(_rank_lead, n_max)
+    return _halves(_rank_lead, n_max, n_from)
 
 
 def _collect(stat: str, n_max: int, halves: Iterable[List[int]]) -> DistributionTable:

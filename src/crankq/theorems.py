@@ -31,10 +31,13 @@ rows, EQ9.5 and EQ9.6 both, and only THM1.1 and THM1.6 read row
 n_from - 1.  No row is mirrored: by
 symmetry a scan reads M(m, n) at m < 0 as M(-m, n), and the cumulative
 scans EQ9.5 and EQ9.6 read le(m, n) as tails[-m] for m <= 0 and as
-p(n) - tails[m + 1] for m >= 0, with no prefix sum.  THM1.7 and all three
-point sets of COR1.8 (both halves of the window and the mirror) are the
-row's descents M(m, n) >= M(m + 1, n); the window compares them once, and
-each scan maps the failing positions back to its own m in its own order.
+p(n) - tails[m + 1] for m >= 0, with no prefix sum; where both sides are
+p(n) less a tail sum (EQ9.6 at m >= 1), the two tail sums are compared
+the other way round and p(n) is subtracted only at a violation.  THM1.7
+and all three point sets of COR1.8 (both halves of the window and the
+mirror) are the row's descents M(m, n) >= M(m + 1, n); the window
+compares them once, and each scan maps the failing positions back to its
+own m in its own order.
 :func:`verify` and :func:`verify_suite` share one runner, ``_run``,
 which sends the row scans among its jobs to one pass, runs the other
 scans, and returns the reports in job order.  Each row source keeps only
@@ -740,11 +743,19 @@ def _run_eq_9_5(rec, w):
 @_theorem("EQ9.6", "cumulative rank mass below cumulative crank mass (m >= 0)",
           stated_n_from=1, n_base=1, rows=True)
 def _run_eq_9_6(rec, w):
+    # rank le(m - 1, n) <= crank le(m, n) for m = 0..n.  At m = 0 that is
+    # rank tails[1] <= crank tails[0]; at m >= 1 both sides are p(n) less a
+    # tail sum, and p - a <= p - b is b <= a, so the tails are compared with
+    # the sides swapped and p(n) is subtracted only at a violation.
     n, p = w.n, w.p
-    rec.check_rows(
-        _row_point(n), range(0, n + 1),
-        _le_row(w.rank_tails, p, -1, n), "<=", _le_row(w.crank_tails, p, 0, n + 1),
-    )
+    rank, crank = w.rank_tails, w.crank_tails
+    lhs = slice_row(rank, 0, 1, 2) + slice_row(crank, 0, 2, n + 2)
+    rhs = crank[:1] + slice_row(rank, 0, 1, n + 1)
+    fails = _holds_rows(lhs, "<=", rhs)
+    for i in fails:
+        if i:
+            lhs[i], rhs[i] = p - rhs[i], p - lhs[i]
+    rec.record(_row_point(n), range(0, n + 1), lhs, rhs, fails)
 
 
 @_theorem("EQ9.12", "two central rank counts within four times the zero-crank count",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from crankq.statistics import crank_table, rank_table
@@ -26,3 +28,19 @@ def ranks500():
 @pytest.fixture(scope="session")
 def pvec1000(ctx):
     return ctx.pvec(1000)
+
+
+@pytest.fixture
+def traced_peak():
+    """The function giving the tracemalloc peak, in bytes, of one call of
+    run() made in this process."""
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -5,9 +5,11 @@ from __future__ import annotations
 import ast
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
@@ -275,12 +277,16 @@ def test_verify_rejects_a_theorem_with_a_suite(capsys):
     assert "argument --suite: not allowed with argument --theorem" in captured.err
 
 
-def test_io_error_exit_code(capsys, tmp_path):
+def test_io_error_exit_code(capsys, tmp_path, monkeypatch):
+    # --out is opened before any worker is forked, above the cutoff too
+    forks = _on_cpus(monkeypatch, 2)
     path = tmp_path / "no-such-dir" / "x.csv"
-    code = cli.main(["table", "--stat", "crank", "--n-max", "3", "--out", str(path)])
-    assert code == 1
-    err = f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
-    assert capsys.readouterr() == ("", err)
+    for n_max in (3, cli._SPLIT_MIN_N_MAX):
+        argv = ["table", "--stat", "crank", "--n-max", str(n_max), "--out", str(path)]
+        assert cli.main(argv) == 1
+        err = f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+        assert capsys.readouterr() == ("", err)
+    assert forks == []
 
 
 def test_ospt_rows(capsys):
@@ -390,10 +396,6 @@ def test_table_json_matches_json_dumps(stat, n_max, capsys):
                     "--format", "json")
     assert code == 0
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    empty = {"stat": stat, "n_max": n_max, "rows": []}
-    assert "".join(cli._json_table(stat, n_max, [])) == (
-        json.dumps(empty, indent=2, sort_keys=True) + "\n"
-    )
 
 
 # the whole output at the smallest sizes, as written by the dense-table route
@@ -434,6 +436,132 @@ def test_table_streams_without_building_a_table(stat, n_max, monkeypatch, capsys
             "rows": [{"n": n, "m": m, "count": c} for n, m, c in cells],
         }
         assert out_json == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Make crankq see `cpus` CPUs available and count the workers it forks."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_table_text(stat, n_max, fmt):
+    """The whole `crankq table` output, written from the dense table."""
+    from crankq.statistics import crank_table, rank_table
+
+    table = (crank_table if stat == "crank" else rank_table)(n_max)
+    cells = [
+        (n, m, c)
+        for n in range(n_max + 1)
+        for m, c in zip(table.m_range(n), table.rows[n])
+    ]
+    if fmt == "csv":
+        return "n,m,count\n" + "".join(f"{n},{m},{c}\n" for n, m, c in cells)
+    rows = [{"n": n, "m": m, "count": c} for n, m, c in cells]
+    payload = {"stat": stat, "n_max": n_max, "rows": rows}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_row_ranges_split_the_work_evenly(monkeypatch):
+    cut = cli._SPLIT_MIN_N_MAX
+    for cpus in (1, 2, 3, 8):
+        _on_cpus(monkeypatch, cpus)
+        assert cli._row_ranges(cut - 1) == [range(cut)]
+        for n_max in (cut, 1500):
+            ranges = cli._row_ranges(n_max)
+            assert len(ranges) == cpus
+            assert [r.start for r in ranges[1:]] == [r.stop for r in ranges[:-1]]
+            assert ranges[0].start == 0 and ranges[-1].stop == n_max + 1
+            # rows 0..n cost about n^2 between them
+            work = [r.stop**2 - r.start**2 for r in ranges]
+            assert max(work) - min(work) <= 2 * (n_max + 1), work
+    monkeypatch.delattr(os, "fork")
+    assert cli._row_ranges(1500) == [range(1501)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("stat", ["crank", "rank"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n_max", [cli._SPLIT_MIN_N_MAX - 1, cli._SPLIT_MIN_N_MAX])
+def test_split_table_is_byte_identical(cpus, stat, fmt, n_max, monkeypatch, tmp_path, capsys):
+    # just below the cutoff one process writes the table; at it, one
+    # process per CPU; either way the bytes are the dense table's
+    forks = _on_cpus(monkeypatch, cpus)
+    want = _dense_table_text(stat, n_max, fmt)
+    argv = ["table", "--stat", stat, "--n-max", str(n_max), "--format", fmt]
+    code, out = run(capsys, *argv)
+    assert (code, out) == (0, want)
+    path = tmp_path / "t.out"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert path.read_text(encoding="utf-8") == want
+    assert len(forks) == (2 * (cpus - 1) if n_max >= cli._SPLIT_MIN_N_MAX else 0)
+    _assert_no_child_left()
+
+
+def test_split_table_worker_failure_exits_1(monkeypatch, tmp_path, capsys):
+    from crankq import statistics
+
+    n_max = cli._SPLIT_MIN_N_MAX
+    forks = _on_cpus(monkeypatch, 3)
+    split = cli._row_ranges(n_max)[1].start
+    real = statistics._sparse_form_half
+
+    def failing_past_the_split(pvec, n, lead):
+        if n >= split:
+            raise RuntimeError(f"row {n}")
+        return real(pvec, n, lead)
+
+    monkeypatch.setattr(statistics, "_sparse_form_half", failing_past_the_split)
+    path = tmp_path / "t.csv"
+    code = cli.main(["table", "--stat", "crank", "--n-max", str(n_max), "--out", str(path)])
+    assert code == 1
+    assert len(forks) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: the worker writing rows {split}..{cli._row_ranges(n_max)[1].stop - 1} "
+        "exited with status 1\n"
+    ))
+    _assert_no_child_left()
+
+
+def test_split_table_parent_failure_kills_the_workers(monkeypatch, capsys):
+    from crankq import statistics
+
+    forks = _on_cpus(monkeypatch, 3)
+    real = statistics._sparse_form_half
+    parent = os.getpid()
+
+    def failing_in_the_parent(pvec, n, lead):
+        if os.getpid() == parent:
+            raise RuntimeError(f"row {n}")
+        return real(pvec, n, lead)
+
+    monkeypatch.setattr(statistics, "_sparse_form_half", failing_in_the_parent)
+    with pytest.raises(RuntimeError, match="row 1"):
+        cli.main(["table", "--stat", "rank", "--n-max", "1500"])
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
+def test_split_table_parent_memory_grows_about_linearly(monkeypatch, tmp_path, traced_peak):
+    # the parent copies each worker's file in fixed-size chunks; reading
+    # the last range's file whole would hold O(N^2) characters
+    _on_cpus(monkeypatch, 2)
+    path = str(tmp_path / "t.csv")
+    small, large = (
+        traced_peak(lambda: cli.main(["table", "--stat", "crank", "--n-max", n, "--out", path]))
+        for n in ("300", "600")
+    )
+    # the row scans' allowance, 1.5 times linear growth
+    assert large < 1.5 * 2 * small, (small, large)
 
 
 @pytest.mark.parametrize("n", [2, 3, 50])

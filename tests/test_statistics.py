@@ -168,6 +168,7 @@ def test_halves_from_a_later_row_are_the_tail(build, n_from):
     row = _row_source(lead, partition_numbers(45))
     rows = [row(n) for n in range(n_from, 41)]
     assert [half for half, _ in rows] == list(build(40))[n_from:]
+    assert list(build(40, n_from)) == list(build(40))[n_from:]
     for half, tails in rows:
         assert tails == [sum(half[m:]) for m in range(len(half))]
 
@@ -219,6 +220,8 @@ def test_passed_p_vector_must_cover_n_max(build):
         row(10)
     with pytest.raises(ValueError):
         build(-1)
+    with pytest.raises(ValueError):
+        build(9, -1)
     # row -1 is zero everywhere; a row below it would be read off p(-1),
     # the last entry of the list
     assert _row_source(lead, partition_numbers(3))(-1) == ([], [])

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import operator
-import tracemalloc
 
 import pytest
 
@@ -805,26 +804,17 @@ def test_no_family_list_outlives_its_scan():
     assert set(ctx._memo) == {"pvec", "ospt", "rank_m0", "rank_m1", "crank_m0"}
 
 
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_suite_memory_grows_about_linearly():
+def test_suite_memory_grows_about_linearly(traced_peak):
     # the dense tables held O(N^2) cells, a ratio of about 7.6 here;
     # streamed rows keep it near 3.3 (one window of rows plus the series)
-    small = _traced_peak(lambda: verify_suite(200))
-    large = _traced_peak(lambda: verify_suite(600))
+    small = traced_peak(lambda: verify_suite(200))
+    large = traced_peak(lambda: verify_suite(600))
     assert large < 4.5 * small, (small, large)
 
 
-def test_lone_row_scan_memory_grows_about_linearly():
+def test_lone_row_scan_memory_grows_about_linearly(traced_peak):
     # a row source keeps two rows; one that kept every row it made would
     # hold O(N^2) cells
-    small = _traced_peak(lambda: verify("THM1.6", 200))
-    large = _traced_peak(lambda: verify("THM1.6", 600))
+    small = traced_peak(lambda: verify("THM1.6", 200))
+    large = traced_peak(lambda: verify("THM1.6", 600))
     assert large < 4.5 * small, (small, large)
