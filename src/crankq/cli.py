@@ -3,19 +3,20 @@
 Subcommands: table, verify, identity, family, ospt, threshold,
 plot-unimodal.  Exit codes: 0 all checks passed; 1 a violation or
 mismatch, an ``--out`` that cannot be written, or a ``table`` worker
-that failed; 2 bad input, which is a malformed command line (argparse's
-usage text) or a value the library rejects (one ``error:`` line, mapped
-by :func:`main` alone).  ``table`` writes its rows as they are made:
-from n_max 200 on, rows 0..n_max are split into one contiguous range of
-about equal work per available CPU, each range after the first is
-written by a forked worker to an unlinked temporary file, and the
-parent writes the header and its own range, then copies the workers'
-files after them in row order.  An error part way through leaves a
-partial table and no worker running.  Every other command builds its
-whole result before writing, so an error leaves no partial output.  CSV
-output always carries a header row and plain decimal integers; JSON
-output is stable (sorted keys) so runs with the same flags are
-byte-identical.
+that failed; 2 bad input: argparse's usage text for a malformed command
+line, else one ``error:`` line from :func:`main`, the one place that
+maps every bad-input check, the CLI's own range checks included, to an
+exit code.  ``table`` writes its rows as they are made: from n_max 200
+on, rows 0..n_max are split into one contiguous range of about equal
+work per available CPU, each range after the first is written by a
+forked worker to an unlinked temporary file, and the parent writes the
+header and its own range, then copies the workers' files after them in
+row order.  An error part way through leaves a partial table and no
+worker running.  Every other command builds its whole result, then
+writes it in the format selected through one writer, so an error leaves
+no partial output.  CSV output always carries a header row and plain
+decimal integers; JSON output is stable (sorted keys) so runs with the
+same flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -36,15 +37,8 @@ from .errors import (
     UnknownTheorem,
 )
 
-_FAMILY_CLI_NAMES = {
-    "pk": "p",
-    "ppk": "pp",
-    "dk": "d",
-    "tk": "t",
-    "fk": "f",
-    "gk": "g",
-    "hk": "h",
-}
+# each family may also be named with its index k appended: pk for p_k
+_FAMILY_CLI_NAMES = {f"{name}k": name for name in ("p", "pp", "d", "t", "f", "g", "h")}
 
 DEFAULT_TABLE_N_MAX = 100
 DEFAULT_VERIFY_N_MAX = 200
@@ -60,20 +54,28 @@ def _to_out(write: Callable[[TextIO], None], out_path: Optional[str]) -> None:
         write(sys.stdout)
 
 
-def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
-    """Write the text chunks in order, to out_path or else to stdout."""
-    _to_out(lambda out: out.writelines(chunks), out_path)
+def _one_or_all(items: List[object]) -> object:
+    """A command's results as JSON shows them: a lone result as an object,
+    or else the list of them."""
+    return items[0] if len(items) == 1 else items
 
 
-def _csv(header: Sequence[str], rows: Iterable[Sequence[object]]) -> Iterator[str]:
-    """CSV lines, each ending in a newline; rows are formatted as they come."""
-    yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(map(str, row)) + "\n"
-
-
-def _json(obj: object) -> List[str]:
-    return [json.dumps(obj, indent=2, sort_keys=True) + "\n"]
+def _write(
+    args,
+    payload: Optional[Callable[[], object]],
+    header: Sequence[str],
+    rows: Iterable[Sequence[object]],
+    notes: Iterable[str] = (),
+) -> None:
+    """Write a buffered command's output to --out or else stdout: under
+    --format json the JSON of payload(), or else the CSV header and rows,
+    formatted as they come, then the notes.  Only the one selected is built."""
+    if args.format == "json":
+        lines = [json.dumps(payload(), indent=2, sort_keys=True) + "\n"]
+    else:
+        rows = itertools.chain([header], rows)
+        lines = itertools.chain((",".join(map(str, row)) + "\n" for row in rows), notes)
+    _to_out(lambda out: out.writelines(lines), args.out)
 
 
 def _text_cells(half: List[int]) -> List[str]:
@@ -202,8 +204,7 @@ def _write_rows(
 def cmd_table(args) -> int:
     n_max = args.n_max
     if n_max < 0:
-        print("error: --n-max must be nonnegative", file=sys.stderr)
-        return 2
+        raise RangeError("--n-max must be nonnegative")
     halves = statistics.crank_halves if args.stat == "crank" else statistics.rank_halves
     if args.format == "json":
         head = f'{{\n  "n_max": {n_max},\n  "rows": ['
@@ -220,141 +221,114 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _verify_output(reports, fmt: str, out_path: Optional[str]) -> int:
-    if fmt == "json":
-        payload = [r.as_dict() for r in reports]
-        _emit(_json(payload if len(payload) != 1 else payload[0]), out_path)
-    else:
-        rows = [
-            (
-                r.theorem_id,
-                r.n_from,
-                r.n_to,
-                r.checked,
-                len(r.violations),
-                r.status,
-            )
-            for r in reports
-        ]
-        header = ("id", "n_from", "n_to", "checked", "violations", "status")
-        notes = (
-            f"# violation {r.theorem_id} {v.point}: {v.lhs} vs {v.rhs}\n"
-            for r in reports
-            for v in r.violations[:20]
-        )
-        _emit(itertools.chain(_csv(header, rows), notes), out_path)
-    return 0 if all(r.passed for r in reports) else 1
-
-
 def cmd_verify(args) -> int:
     if args.suite is not None and args.from_n is not None:
-        print("error: --from applies to a single theorem, not a suite",
-              file=sys.stderr)
-        return 2
+        raise RangeError("--from applies to a single theorem, not a suite")
     if args.suite == "paper":
         reports = theorems.verify_suite(args.n_max)
     else:
         overrides = None if args.from_n is None else {"n_from": args.from_n}
         reports = [theorems.verify(args.theorem, args.n_max, overrides)]
-    return _verify_output(reports, args.format, args.out)
+    rows = (
+        (r.theorem_id, r.n_from, r.n_to, r.checked, len(r.violations), r.status)
+        for r in reports
+    )
+    notes = (
+        f"# violation {r.theorem_id} {v.point}: {v.lhs} vs {v.rhs}\n"
+        for r in reports
+        for v in r.violations[:20]
+    )
+    _write(
+        args,
+        lambda: _one_or_all([r.as_dict() for r in reports]),
+        ("id", "n_from", "n_to", "checked", "violations", "status"),
+        rows,
+        notes,
+    )
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_identity(args) -> int:
     params = {k: v for k, v in (("m", args.m), ("k", args.k)) if v is not None}
     grid = [params] if params else identities.identity_grid(args.id)
     results = [identities.check_identity(args.id, args.order, **p) for p in grid]
-    if args.format == "json":
-        payload = [
+
+    def payload() -> object:
+        return _one_or_all([
             {
                 "id": r.id,
                 "params": r.params,
                 "order": r.order,
                 "status": r.status,
-                "first_mismatch": (
-                    None
-                    if r.first_mismatch is None
-                    else {
-                        "exponent": r.first_mismatch[0],
-                        "lhs": r.first_mismatch[1],
-                        "rhs": r.first_mismatch[2],
-                    }
-                ),
+                "first_mismatch": None if r.first_mismatch is None
+                else dict(zip(("exponent", "lhs", "rhs"), r.first_mismatch)),
             }
             for r in results
-        ]
-        _emit(_json(payload if len(payload) != 1 else payload[0]), args.out)
-    else:
-        rows = []
+        ])
+
+    def rows() -> Iterator[Sequence[object]]:
         for r in results:
             params = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
             mm = "" if r.first_mismatch is None else r.first_mismatch[0]
-            rows.append((r.id, params, r.order, r.status, mm))
-        _emit(
-            _csv(("id", "params", "order", "status", "mismatch_exponent"), rows),
-            args.out,
-        )
+            yield (r.id, params, r.order, r.status, mm)
+
+    header = ("id", "params", "order", "status", "mismatch_exponent")
+    _write(args, payload, header, rows())
     return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_family(args) -> int:
     if args.n_max < 0:
-        print("error: --n-max must be nonnegative", file=sys.stderr)
-        return 2
+        raise RangeError("--n-max must be nonnegative")
     name = _FAMILY_CLI_NAMES.get(args.name, args.name)
-    series = families.family_series(name, args.k, args.n_max)
-    coeffs = series.coeffs()
-    if args.format == "json":
-        payload = {
+    coeffs = families.family_series(name, args.k, args.n_max).coeffs()
+    _write(
+        args,
+        lambda: {
             "family": name,
             "k": args.k,
             "values": [{"n": n, "value": c} for n, c in enumerate(coeffs)],
-        }
-        _emit(_json(payload), args.out)
-    else:
-        _emit(_csv(("n", "value"), enumerate(coeffs)), args.out)
+        },
+        ("n", "value"),
+        enumerate(coeffs),
+    )
     return 0
 
 
 def cmd_ospt(args) -> int:
     if args.n_max < 1:
-        print("error: --n-max must be >= 1", file=sys.stderr)
-        return 2
+        raise RangeError("--n-max must be >= 1")
     values = statistics.ospt(args.n_max)
     pvec = statistics.partition_numbers(args.n_max)
     rows = [(n, values[n], pvec[n]) for n in range(1, args.n_max + 1)]
-    if args.format == "json":
-        payload = [{"n": n, "ospt": o, "p": p} for n, o, p in rows]
-        _emit(_json(payload), args.out)
-    else:
-        _emit(_csv(("n", "ospt", "p"), rows), args.out)
+    header = ("n", "ospt", "p")
+    _write(args, lambda: [dict(zip(header, row)) for row in rows], header, rows)
     return 0
 
 
 def cmd_threshold(args) -> int:
     found = theorems.find_threshold(args.theorem, args.n_max)
     stated = theorems.stated_threshold(args.theorem)
-    if args.format == "json":
-        payload = {
+    _write(
+        args,
+        lambda: {
             "id": args.theorem,
             "n_max": args.n_max,
             "empirical_threshold": found,
             "stated_threshold": stated,
-        }
-        _emit(_json(payload), args.out)
-    else:
-        rows = [(args.theorem, "" if found is None else found, stated)]
-        _emit(_csv(("id", "empirical_threshold", "stated_threshold"), rows), args.out)
+        },
+        ("id", "empirical_threshold", "stated_threshold"),
+        [(args.theorem, "" if found is None else found, stated)],
+    )
     return 0 if found is not None else 1
 
 
 def cmd_plot_unimodal(args) -> int:
     if args.n < 2:
-        print("error: --n must be >= 2", file=sys.stderr)
-        return 2
+        raise RangeError("--n must be >= 2")
     n = args.n
     half = statistics.crank_half(n)
-    rows = [(m, half[abs(m)]) for m in range(-(n - 1), n)]
-    _emit(_csv(("m", "count"), rows), args.out)
+    _write(args, None, ("m", "count"), ((m, half[abs(m)]) for m in range(-(n - 1), n)))
     return 0
 
 
@@ -366,15 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_format="csv"):
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
+    def add_common(p, func):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("table", help="emit a crank or rank count table")
     p.add_argument("--stat", choices=("crank", "rank"), required=True)
     p.add_argument("--n-max", type=int, default=DEFAULT_TABLE_N_MAX)
-    add_common(p)
-    p.set_defaults(func=cmd_table)
+    add_common(p, cmd_table)
 
     p = sub.add_parser("verify", help="scan one theorem or the whole suite")
     which = p.add_mutually_exclusive_group(required=True)
@@ -383,16 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=DEFAULT_VERIFY_N_MAX)
     p.add_argument("--from", dest="from_n", type=int, default=None,
                    help="override the scan's starting n")
-    add_common(p)
-    p.set_defaults(func=cmd_verify)
+    add_common(p, cmd_verify)
 
     p = sub.add_parser("identity", help="check one identity from the registry")
     p.add_argument("--id", required=True)
     p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
-    add_common(p)
-    p.set_defaults(func=cmd_identity)
+    add_common(p, cmd_identity)
 
     p = sub.add_parser("family", help="emit one family's values")
     p.add_argument(
@@ -401,24 +373,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, default=DEFAULT_TABLE_N_MAX)
-    add_common(p)
-    p.set_defaults(func=cmd_family)
+    add_common(p, cmd_family)
 
     p = sub.add_parser("ospt", help="emit n, ospt(n), p(n) rows")
     p.add_argument("--n-max", type=int, default=DEFAULT_TABLE_N_MAX)
-    add_common(p)
-    p.set_defaults(func=cmd_ospt)
+    add_common(p, cmd_ospt)
 
     p = sub.add_parser("threshold", help="locate the empirical threshold")
     p.add_argument("--theorem", metavar="ID", required=True)
     p.add_argument("--n-max", type=int, default=DEFAULT_VERIFY_N_MAX)
-    add_common(p)
-    p.set_defaults(func=cmd_threshold)
+    add_common(p, cmd_threshold)
 
     p = sub.add_parser("plot-unimodal", help="emit m, count data for one row")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", metavar="PATH", default=None)
-    p.set_defaults(func=cmd_plot_unimodal)
+    p.set_defaults(func=cmd_plot_unimodal, format="csv")  # CSV only, no --format
 
     return parser
 

@@ -785,6 +785,12 @@ def _run_conj_1_4(ctx, rec, n_from, n_to):
 SUITE_ORDER = tuple(REGISTRY)
 
 
+def _spec(theorem_id: str) -> TheoremSpec:
+    if theorem_id not in REGISTRY:
+        raise UnknownTheorem(theorem_id)
+    return REGISTRY[theorem_id]
+
+
 @dataclass
 class _Job:
     """One theorem's scan over [n_from, n_to] with its grid, and its record."""
@@ -799,9 +805,7 @@ class _Job:
     def make(
         cls, theorem_id: str, n_to: int, overrides: Optional[Dict[str, int]]
     ) -> "_Job":
-        if theorem_id not in REGISTRY:
-            raise UnknownTheorem(theorem_id)
-        spec = REGISTRY[theorem_id]
+        spec = _spec(theorem_id)
         overrides = dict(overrides or {})
         n_from = max(overrides.pop("n_from", spec.stated_n_from), spec.n_base)
         params = dict(spec.defaults)
@@ -882,11 +886,9 @@ def find_threshold(
     Scans from the theorem's base range, ignoring the stated threshold.
     Returns None when even n = n_to has a violation.
     """
-    if theorem_id not in REGISTRY:
-        raise UnknownTheorem(theorem_id)
+    spec = _spec(theorem_id)
     if n_to < 2:
         raise RangeError("threshold search needs n_to >= 2")
-    spec = REGISTRY[theorem_id]
     report = verify(theorem_id, n_to, overrides={"n_from": spec.n_base}, ctx=ctx)
     if not report.violations:
         return spec.n_base
@@ -897,9 +899,7 @@ def find_threshold(
 
 
 def stated_threshold(theorem_id: str) -> int:
-    if theorem_id not in REGISTRY:
-        raise UnknownTheorem(theorem_id)
-    return REGISTRY[theorem_id].stated_n_from
+    return _spec(theorem_id).stated_n_from
 
 
 def list_theorems() -> List[str]:

@@ -380,6 +380,71 @@ def test_table_json_golden_digest(stat, tmp_path, capsys):
     assert path.read_bytes() == out.encode()
 
 
+# exit code and sha256 of stdout of every buffered command, in CSV and in
+# JSON, as written before these commands shared one writer
+BUFFERED_SHA256 = {
+    "verify --theorem THM1.9 --n-max 120 --from 2": (
+        1, "1952c4b1b3e7239311417d460dcd517023629bc5e2a39f3dab889644057e2f39"
+    ),
+    "verify --theorem THM1.9 --n-max 120 --from 2 --format json": (
+        1, "01cfc0712f9715d5626862b881f919b4c1be2a62ac8b1b063919ab211cff6524"
+    ),
+    "verify --suite paper --n-max 60": (
+        0, "9067415bd985ee48111c9d91465669edcee1907ababde79b243fdf3a9eaeae08"
+    ),
+    "verify --suite paper --n-max 60 --format json": (
+        0, "cb3f489ad77ee8f54de4a6a5b159a33cd4203940b3ef82cfe4aec07c0c95b217"
+    ),
+    "identity --id T5.4 --order 80": (
+        0, "0103b7ce253f39ed661b5125ff16e4ef68e04d276dda26bf20e7a1af3f4c62dc"
+    ),
+    "identity --id T5.4 --order 80 --format json": (
+        0, "6a82d8aef61e61558cddab88bfcc9a81eb9c1465ff078cf67e3671c722664d4a"
+    ),
+    "identity --id T5.4 --order 80 --m 3": (
+        0, "23221b3fbe9841c6556c0f3d49de1d7fdd463f7b7ff07e3680f7ec52f4fa05b3"
+    ),
+    # one result is written as a single object, not a list of one
+    "identity --id T5.4 --order 80 --m 3 --format json": (
+        0, "3fd6dff742a500b391436eb014eddacecc9dba3635ae12e5b4bd57aa1d283abb"
+    ),
+    "family --name gk --k 2 --n-max 20": (
+        0, "a91f559beadede8e38e5c7631e936be3c5822a78b1e74aab5bc2647fcaf54251"
+    ),
+    "family --name gk --k 2 --n-max 20 --format json": (
+        0, "f33db37a45119e69af3c31f2fd2043e8adfdb99fe02cee419648ddcf1ef4d1b2"
+    ),
+    "ospt --n-max 50": (
+        0, "4879c998b8b037e746d46a49852f7e68aee921b38462b66ab84c39ad2876a138"
+    ),
+    "ospt --n-max 50 --format json": (
+        0, "0a0d99a5c571b6120c9b1c12b0cbb6a4db4ec89b67918af467e6dcd353b16b01"
+    ),
+    "threshold --theorem THM1.9 --n-max 120": (
+        0, "e74ee56bd221ca49d400b68533bf59abf38c364f812bc9bdf9e1c662a1d834c3"
+    ),
+    "threshold --theorem THM1.9 --n-max 120 --format json": (
+        0, "05c45cbd01c1a6d62904e2e75b4c6b5623661dbb28ff15ff9ff2ae62236adec0"
+    ),
+    "plot-unimodal --n 44": (
+        0, "699b2727920411594a56c9c529dee06dde064ebcafd180f3dc7a44e2862c668c"
+    ),
+}
+
+
+@pytest.mark.parametrize("line", list(BUFFERED_SHA256))
+def test_buffered_output_golden_digest(line, tmp_path, capsys):
+    argv = line.split()
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == BUFFERED_SHA256[line]
+    assert err == ""
+    path = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert path.read_bytes() == out.encode()
+
+
 @pytest.mark.parametrize("stat", ["crank", "rank"])
 @pytest.mark.parametrize("n_max", [0, 1, 7])
 def test_table_json_matches_json_dumps(stat, n_max, capsys):
